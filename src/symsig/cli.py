@@ -415,8 +415,11 @@ def main(argv=None) -> int:
         report = args.fn(args)
         text = RENDERERS[args.format](report)
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write the report: {exc}") from exc
         else:
             sys.stdout.write(text)
         return 0

@@ -61,18 +61,6 @@ def monomial_weights(n: int, a: int, q: int) -> WeightMultiset:
     return WeightMultiset(n, tuple(counts))
 
 
-def an_decomposition(n: int, q: int) -> WeightMultiset:
-    """Weight counts for the a = n-1 series in the centered form 2t - q mod n."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    counts = [0] * n
-    for t in range(q + 1):
-        counts[(2 * t - q) % n] += 1
-    return WeightMultiset(n, tuple(counts))
-
-
 def module_generators(n: int, a: int, t: int, degree_cap: int) -> list[tuple[int, int]]:
     """Minimal monomials u^i v^j with i + a*j = -t mod n, up to total degree degree_cap.
 

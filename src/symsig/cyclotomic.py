@@ -18,10 +18,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-# Rational scalar type: always reduced, denominator > 0.  The stdlib
-# Fraction satisfies both invariants, so it *is* our Rational.
-Rational = Fraction
-
 
 class ConsistencyError(Exception):
     """An internal exactness invariant failed (this is a bug, not bad input)."""
@@ -121,20 +117,9 @@ class CycloContext:
         self.poly = cyclotomic_polynomial(m)
         self.degree = len(self.poly) - 1  # phi(m)
         d = self.degree
-        # _red[k] = integer coefficient vector of x^(d+k) reduced mod Phi_m,
-        # for k in [0, d-1); products of reduced elements never need more.
-        # Phi_m is monic with integer coefficients, so these rows stay integral.
-        row = [-c for c in self.poly[:d]]
-        red = [tuple(row)]
-        for _ in range(d - 2):
-            lead = row[-1]
-            row = [0] + row[:-1]
-            if lead:
-                for j, rj in enumerate(red[0]):
-                    row[j] += lead * rj
-            red.append(tuple(row))
-        self._red = red
-        # _zeta_num[e] = reduced integer vector of z^e, e in [0, m).
+        # _zeta_num[e] = reduced integer vector of z^e, e in [0, m).  Phi_m is
+        # monic with integer coefficients, so these vectors stay integral.
+        top = [-c for c in self.poly[:d]]  # z^d reduced
         pows = []
         vec = [0] * d
         vec[0] = 1
@@ -143,9 +128,12 @@ class CycloContext:
             lead = vec[-1]
             vec = [0] + vec[:-1]
             if lead:
-                for j, rj in enumerate(red[0]):
+                for j, rj in enumerate(top):
                     vec[j] += lead * rj
         self._zeta_num = pows
+        # _red[k] = x^(d+k) reduced mod Phi_m, for k in [0, d-1); products of
+        # reduced elements never need more.
+        self._red = [pows[(d + k) % m] for k in range(d - 1)]
         self.zero = CycloElement(self, (0,) * d, 1)
         self.one = CycloElement(self, pows[0], 1)
 
@@ -329,61 +317,27 @@ class CycloElement:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloElement":
-        """Multiplicative inverse via extended gcd with Phi_m."""
+        """Multiplicative inverse: the other Galois conjugates over the norm."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
-
-        # Cold path: Fraction-coefficient extended Euclid against Phi_m,
-        # maintaining a = sa * self (mod Phi_m) and b = sb * self (mod Phi_m).
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        def sub_scaled(p, q, c, shift):
-            out = list(p) + [Fraction(0)] * max(0, len(q) + shift - len(p))
-            for i, qi in enumerate(q):
-                out[i + shift] -= c * qi
-            return trim(out)
-
-        a = trim([Fraction(v, self.den) for v in self.num])
-        b = trim([Fraction(c) for c in self.ctx.poly])
-        sa, sb = [Fraction(1)], []
-        while b:
-            if len(a) < len(b):
-                a, b, sa, sb = b, a, sb, sa
-                continue
-            c = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            a = sub_scaled(a, b, c, shift)
-            sa = sub_scaled(sa, sb, c, shift)
-        if len(a) != 1:
-            raise ConsistencyError(
-                f"gcd with Phi_{self.ctx.m} is not constant; Phi reducible or bug"
-            )
-        scale = a[0]
-        inv_coeffs = [c / scale for c in sa]
-        inv_coeffs += [Fraction(0)] * (self.ctx.degree - len(inv_coeffs))
-        result = self.ctx.from_coeffs(inv_coeffs[: self.ctx.degree])
-        if (result * self) != self.ctx.one:
+        ctx = self.ctx
+        others = ctx.one
+        for k in range(2, ctx.m):
+            if math.gcd(k, ctx.m) == 1:
+                others = others * self._galois(k)
+        norm = (self * others).to_rational()
+        if norm is None:
+            raise ConsistencyError(f"norm from Q(zeta_{ctx.m}) is not rational")
+        result = CycloElement._make(
+            ctx, [v * norm.denominator for v in others.num], others.den * norm.numerator
+        )
+        if (result * self) != ctx.one:
             raise ConsistencyError("inverse check failed")
         return result
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __pow__(self, k: int) -> "CycloElement":
         if k < 0:
-            return self.inv() ** (-k)
+            raise ValueError("negative exponent; use inv()")
         result = self.ctx.one
         base = self
         while k:
@@ -393,16 +347,20 @@ class CycloElement:
             k >>= 1
         return result
 
-    def conjugate(self) -> "CycloElement":
-        """Image under the automorphism zeta_m -> zeta_m^(-1)."""
+    def _galois(self, k: int) -> "CycloElement":
+        """Image under the automorphism zeta_m -> zeta_m^k (k a unit mod m)."""
         ctx = self.ctx
         acc = [0] * ctx.degree
         for j, v in enumerate(self.num):
             if v:
-                for t, pt in enumerate(ctx._zeta_num[(ctx.m - j) % ctx.m]):
+                for t, pt in enumerate(ctx._zeta_num[(j * k) % ctx.m]):
                     if pt:
                         acc[t] += v * pt
         return CycloElement._make(ctx, acc, self.den)
+
+    def conjugate(self) -> "CycloElement":
+        """Image under the automorphism zeta_m -> zeta_m^(-1)."""
+        return self._galois(-1)
 
     # -- comparisons / hashing ----------------------------------------------
 
@@ -455,37 +413,3 @@ class CycloElement:
     def __repr__(self) -> str:
         return f"Cyclo(m={self.ctx.m}: {self})"
 
-
-# Free-function spellings, for callers who prefer them over methods.
-
-
-def root_of_unity(ctx: CycloContext, k: int) -> CycloElement:
-    return ctx.zeta(k)
-
-
-def add(x: CycloElement, y: CycloElement) -> CycloElement:
-    return x + y
-
-
-def mul(x: CycloElement, y: CycloElement) -> CycloElement:
-    return x * y
-
-
-def neg(x: CycloElement) -> CycloElement:
-    return -x
-
-
-def inv(x: CycloElement) -> CycloElement:
-    return x.inv()
-
-
-def conjugate(x: CycloElement) -> CycloElement:
-    return x.conjugate()
-
-
-def to_rational(x: CycloElement) -> Fraction | None:
-    return x.to_rational()
-
-
-def embed_complex(x: CycloElement) -> complex:
-    return x.embed_complex()

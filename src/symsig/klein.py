@@ -240,18 +240,16 @@ class KleinGroup:
     attached lazily but is itself immutable).
     """
 
-    def __init__(self, kind, ctx, elements, index, generators, element_orders,
-                 classes, class_of, class_eigen, conj_rows, in_sl2):
+    def __init__(self, kind, ctx, elements, index, element_orders,
+                 classes, class_eigen, conj_rows, in_sl2):
         self.kind = kind
         self.ctx = ctx
         self.m = ctx.m
         self.elements = elements            # tuple[Matrix2], identity first
         self.index = index                  # matrix key -> element index
-        self.generators = generators
         self.order = len(elements)
         self.element_orders = element_orders
         self.classes = classes              # tuple[ConjugacyClass]
-        self.class_of = class_of            # element index -> class index
         self.class_eigen = class_eigen      # class index -> (e1, e2): eigenvalues zeta^e1, zeta^e2
         self.conj_rows = conj_rows          # class index -> tuple over g of index(g * rep * g^-1)
         self.in_sl2 = in_sl2
@@ -397,18 +395,12 @@ def build_group(kind: GroupKind) -> KleinGroup:
         ctx=ctx,
         elements=tuple(elements),
         index=index,
-        generators=tuple(gens),
         element_orders=tuple(element_orders),
         classes=tuple(classes),
-        class_of=tuple(class_of),
         class_eigen=tuple(class_eigen),
         conj_rows=tuple(conj_rows),
         in_sl2=in_sl2,
     )
-
-
-def conjugacy_classes(G: KleinGroup) -> tuple[ConjugacyClass, ...]:
-    return G.classes
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +596,7 @@ def _induced_from_cyclic(G: KleinGroup, c: int) -> list[tuple[CycloElement, ...]
     return out
 
 
-def _peel(G, vec, found, allow_negative):
+def _peel(G, vec, found):
     """Subtract integer multiples of the found irreducibles from vec."""
     out = vec
     for chi in found:
@@ -613,7 +605,7 @@ def _peel(G, vec, found, allow_negative):
             raise ConsistencyError(
                 f"non-integer multiplicity {coeff} while peeling a character"
             )
-        if coeff < 0 and not allow_negative:
+        if coeff < 0:
             raise ConsistencyError(
                 f"negative multiplicity {coeff} while peeling a genuine character"
             )
@@ -623,7 +615,7 @@ def _peel(G, vec, found, allow_negative):
 
 
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
-    """Tensor-peeling with induced-character seeds and remainder splitting."""
+    """Tensor-peeling with induced-character seeds."""
     r = G.num_classes
     fund = tuple(fundamental_character(G).values)
     found: list[tuple[CycloElement, ...]] = [_trivial_values(G)]
@@ -652,7 +644,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
                 raise ConsistencyError(
                     f"character discovery for {G.kind} exceeded its budget"
                 )
-            vec = _peel(G, queue.popleft(), found, allow_negative=False)
+            vec = _peel(G, queue.popleft(), found)
             if all(v.is_zero for v in vec):
                 continue
             n = norm(vec)
@@ -664,42 +656,19 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
                 queue.append(tuple(x * y for x, y in zip(vec, fund)))
         if len(found) == r:
             break
-        # Splitting phase: re-peel stashed remainders and try small integer
-        # combinations; any norm-1 virtual character with positive degree is
-        # an irreducible.
+        # Re-peel stashed remainders against the irreducibles found since;
+        # any norm-1 remainder is an irreducible.
         kept = []
         for vec in residuals:
-            vec = _peel(G, vec, found, allow_negative=True)
+            vec = _peel(G, vec, found)
             if all(v.is_zero for v in vec):
                 continue
-            deg = vec[0].to_rational()
-            if deg is not None and deg < 0:
-                vec = tuple(-v for v in vec)
             if norm(vec) == 1:
                 register(vec)
                 made_progress = True
             else:
                 kept.append(vec)
         residuals = kept
-        for i in range(len(residuals)):
-            if len(found) == r:
-                break
-            for j in range(i + 1, len(residuals)):
-                for sign in (1, -1):
-                    combo = tuple(
-                        x + sign * y for x, y in zip(residuals[i], residuals[j])
-                    )
-                    combo = _peel(G, combo, found, allow_negative=True)
-                    if all(v.is_zero for v in combo):
-                        continue
-                    deg = combo[0].to_rational()
-                    if deg is not None and deg < 0:
-                        combo = tuple(-v for v in combo)
-                        deg = -deg
-                    if deg and deg > 0 and norm(combo) == 1:
-                        register(combo)
-                        made_progress = True
-                        break
         if not made_progress and not queue:
             raise ConsistencyError(
                 f"character discovery stalled for {G.kind}: "

@@ -178,8 +178,9 @@ class Decomposition:
         return sum(a * d for a, d in zip(self.multiplicities, degrees))
 
 
-def _check_multiplicity_row(G: KleinGroup, q: int, row: tuple[int, ...]) -> None:
-    degrees = character_table(G).degrees
+def _check_multiplicity_row(
+    G: KleinGroup, degrees: tuple[int, ...], q: int, row: tuple[int, ...]
+) -> None:
     if any(a < 0 for a in row):
         raise ConsistencyError(f"negative multiplicity at q={q} for {G.kind}")
     total = sum(a * d for a, d in zip(row, degrees))
@@ -202,7 +203,7 @@ def decompose_inner(G: KleinGroup, q: int) -> Decomposition:
             )
         mults.append(int(a))
     row = tuple(mults)
-    _check_multiplicity_row(G, q, row)
+    _check_multiplicity_row(G, table.degrees, q, row)
     return Decomposition(G, q, row)
 
 
@@ -254,21 +255,20 @@ def multiplicity_series(G: KleinGroup, q_max: int) -> list[tuple[int, ...]]:
     if q_max < 0:
         raise ValueError("q_max must be non-negative")
     rows: list[tuple[int, ...]] | None = getattr(G, "_sym_mult_rows", None)
+    if rows is None or q_max >= len(rows):
+        degrees = character_table(G).degrees
+        r = len(degrees)
     if rows is None:
-        table = character_table(G)
-        r = len(table)
         prev = tuple(1 if i == 0 else 0 for i in range(r))  # Sym^0 = trivial
-        _check_multiplicity_row(G, 0, prev)
+        _check_multiplicity_row(G, degrees, 0, prev)
         rows = [prev]
         G._sym_mult_rows = rows
     if q_max >= len(rows):
-        table = character_table(G)
-        r = len(table)
         T = _tensor_matrix(G)
         perm = _det_permutation(G)
         if len(rows) == 1:
             cur = tuple(T[i][0] for i in range(r))  # Sym^1 = V
-            _check_multiplicity_row(G, 1, cur)
+            _check_multiplicity_row(G, degrees, 1, cur)
             rows.append(cur)
         for q in range(len(rows), q_max + 1):
             prev, cur = rows[-2], rows[-1]
@@ -280,7 +280,7 @@ def multiplicity_series(G: KleinGroup, q_max: int) -> list[tuple[int, ...]]:
                 if prev[j]:
                     nxt[perm[j]] -= prev[j]
             nxt = tuple(nxt)
-            _check_multiplicity_row(G, q, nxt)
+            _check_multiplicity_row(G, degrees, q, nxt)
             rows.append(nxt)
     return rows[: q_max + 1]
 

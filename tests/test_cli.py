@@ -67,6 +67,11 @@ class TestExitCodes:
     def test_usage_error_on_unknown_subcommand(self):
         assert run("frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("target", ["missing/x.txt", ""], ids=["missing-dir", "directory"])
+    def test_usage_error_on_unwritable_output(self, tmp_path, target):
+        code, out, err = run("table", "BT", "--output", str(tmp_path / target))
+        assert code == 2 and not out and err.startswith("error: ") and err.count("\n") == 1
+
     def test_internal_failure_maps_to_one(self, monkeypatch):
         def boom(args):
             raise ConsistencyError("forced failure")

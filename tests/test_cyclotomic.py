@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(zeta_m): construction, field axioms, conjugation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from symsig.cyclotomic import (
     divisors,
     euler_phi,
     get_context,
-    root_of_unity,
 )
 
 
@@ -49,25 +49,25 @@ class TestCyclotomicPolynomial:
 class TestRootsOfUnity:
     def test_primitive_fourth_root_has_unit_coefficient(self):
         ctx = get_context(4)
-        assert root_of_unity(ctx, 1).coeffs == (Fraction(0), Fraction(1))
+        assert ctx.zeta(1).coeffs == (Fraction(0), Fraction(1))
 
     def test_minus_one_in_conductor_two(self):
         ctx = get_context(2)
-        assert root_of_unity(ctx, 1) == -1
+        assert ctx.zeta(1) == -1
 
     def test_third_root_squared_reduces(self):
         ctx = get_context(3)
         z = ctx.zeta(1)
-        assert root_of_unity(ctx, 2) == -ctx.one - z
+        assert ctx.zeta(2) == -ctx.one - z
 
     def test_exponent_wraps_modulo_m(self):
         ctx = get_context(12)
-        assert root_of_unity(ctx, 25) == ctx.zeta(1)
-        assert root_of_unity(ctx, -1) == ctx.zeta(11)
+        assert ctx.zeta(25) == ctx.zeta(1)
+        assert ctx.zeta(-1) == ctx.zeta(11)
 
     def test_identity_element(self):
         ctx = get_context(20)
-        assert root_of_unity(ctx, 0) == ctx.one
+        assert ctx.zeta(0) == ctx.one
 
 
 class TestFieldOperations:
@@ -88,6 +88,19 @@ class TestFieldOperations:
         x = ctx.one + ctx.zeta(1)
         expected = (ctx.one - ctx.zeta(1)) * Fraction(1, 2)
         assert x.inv() == expected
+
+    @pytest.mark.parametrize("m", [7, 116, 120])
+    def test_inverse_round_trip(self, m):
+        ctx = get_context(m)
+        rng = random.Random(m)
+        for _ in range(3):
+            x = ctx.from_coeffs([rng.randint(-9, 9) for _ in range(ctx.degree)])
+            assert x * x.inv() == ctx.one
+            assert x.inv().inv() == x
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            get_context(5).zeta(1) ** -1
 
     def test_inverse_of_zero_rejected(self):
         ctx = get_context(8)

@@ -193,6 +193,7 @@ class TestCharacterTable:
             (BinaryTetrahedral, (1, 1, 1, 2, 2, 2, 3)),
             (BinaryOctahedral, (1, 1, 2, 2, 2, 3, 3, 4)),
             (BinaryIcosahedral, (1, 2, 2, 3, 3, 4, 4, 5, 6)),
+            *[(BinaryDihedral(n), (1, 1, 1, 1) + (2,) * (n - 1)) for n in range(4, 17)],
         ],
     )
     def test_degree_multisets(self, kind, degrees):

@@ -33,7 +33,7 @@ from .klein import (
     build_group,
     character_table,
 )
-from .sympow import multiplicity_series
+from .sympow import decompose
 from .signature import oscillation_gap, signature_partial
 from .elliptic import (
     SYZYGY_BUNDLE,
@@ -173,7 +173,6 @@ def cmd_decompose(args) -> Report:
     lo, hi = parse_q_range(args.q)
     table = character_table(G)
     degrees = table.degrees
-    rows = multiplicity_series(G, hi)
     rep = Report(title=f"Sym^q multiplicities for {G.kind}")
     rep.meta = [
         ("group", str(G.kind)),
@@ -183,7 +182,7 @@ def cmd_decompose(args) -> Report:
     cols = ["q"] + [f"alpha{i}" for i in range(len(table))] + ["dimension"]
     sec = Section("multiplicities", cols)
     for q in range(lo, hi + 1):
-        row = rows[q]
+        row = decompose(G, q).multiplicities
         dim = sum(a * d for a, d in zip(row, degrees))
         sec.rows.append([str(q)] + [str(a) for a in row] + [str(dim)])
     rep.sections.append(sec)
@@ -268,19 +267,16 @@ def cmd_elliptic(args) -> Report:
         rep.sections.append(sec)
         return rep
 
+    if args.q is not None:
+        raise UsageError(f"elliptic {which} takes no q; set its range with --horizon")
     N = args.horizon
     if N < 1:
         raise UsageError("--horizon must be at least 1")
     if which == "dsigma":
         rep = Report(title="differential symmetric signature partial sums (elliptic cone)")
         rep.meta = [("limit", "0"), ("closed_form", "2/((N+1)(N+2))")]
-        sec = Section("partial_sums", ["N", "exact", "decimal"])
-        for h in _horizon_ladder(N, 1):
-            v = dsigma_partial(h)
-            sec.rows.append([str(h), _frac(v), _dec(v)])
-        rep.sections.append(sec)
-        return rep
-    if which == "bound":
+        sec, value = Section("partial_sums", ["N", "exact", "decimal"]), dsigma_partial
+    elif which == "bound":
         rep = Report(title="upper bound for the syzygy symmetric signature (elliptic cone)")
         rep.meta = [
             ("syzygy_bundle_rank", str(rank(SYZYGY_BUNDLE))),
@@ -289,13 +285,14 @@ def cmd_elliptic(args) -> Report:
             ("limit_superior_bound", "1/2"),
             ("exact_value", "unknown"),
         ]
-        sec = Section("bounds", ["N", "exact", "decimal"])
-        for h in _horizon_ladder(N, 1):
-            v = sigma_upper_bound(h)
-            sec.rows.append([str(h), _frac(v), _dec(v)])
-        rep.sections.append(sec)
-        return rep
-    raise UsageError(f"unknown elliptic subcommand {which!r}")
+        sec, value = Section("bounds", ["N", "exact", "decimal"]), sigma_upper_bound
+    else:
+        raise UsageError(f"unknown elliptic subcommand {which!r}")
+    for h in _horizon_ladder(N, 1):
+        v = value(h)
+        sec.rows.append([str(h), _frac(v), _dec(v)])
+    rep.sections.append(sec)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--selfcheck", action="store_true",
         help="run the cross-oracle suites before the command (reported on stderr)",
     )
-    common.add_argument(
-        "--horizon", type=int, default=1000, metavar="N",
-        help="summation horizon for signature/elliptic commands (default: 1000)",
-    )
 
     p = argparse.ArgumentParser(
         prog="symsig",
@@ -399,6 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("what", choices=("dsigma", "bound", "sym"))
     pe.add_argument("q", nargs="?", help="q or LO..HI (sym subcommand only)")
     pe.set_defaults(fn=cmd_elliptic)
+    for summing in (ps, pe):
+        summing.add_argument(
+            "--horizon", type=int, default=1000, metavar="N",
+            help="summation horizon (default: 1000)",
+        )
     return p
 
 

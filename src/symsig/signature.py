@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .cyclotomic import ConsistencyError
 from .klein import Character, KleinGroup, character_table, fundamental_character
-from .sympow import multiplicity_series
+from .sympow import _multiplicity_column
 
 #: Multiplied into the floating-point part of every error bound so that
 #: rounding in the complex embedding can never make the bound under-report.
@@ -59,8 +59,7 @@ def signature_partial(G: KleinGroup, i: int, N: int) -> SignatureSeries:
     if N < 0:
         raise ValueError("horizon N must be non-negative")
     _check_index(G, i)
-    rows = multiplicity_series(G, N)
-    a = tuple(row[i] for row in rows)
+    a = tuple(_multiplicity_column(G, i, N))
     b = tuple(q + 1 for q in range(N + 1))
     sum_b = (N + 1) * (N + 2) // 2
     if sum(b) != sum_b:
@@ -113,8 +112,7 @@ def naive_ratio_series(G: KleinGroup, i: int, N: int) -> list[Fraction]:
     if N < 0:
         raise ValueError("horizon N must be non-negative")
     _check_index(G, i)
-    rows = multiplicity_series(G, N)
-    return [Fraction(row[i], q + 1) for q, row in enumerate(rows)]
+    return [Fraction(a, q + 1) for q, a in enumerate(_multiplicity_column(G, i, N))]
 
 
 def oscillation_gap(G: KleinGroup, i: int, N: int) -> Fraction:

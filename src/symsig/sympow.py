@@ -17,7 +17,11 @@ the fundamental 2-dimensional representation, cross-checking each other:
 Decompositions push the same recurrence through the decomposition map: with
 T[i][j] the multiplicity of chi_i in chi_V * chi_j (an exact inner product,
 computed once), the multiplicity vectors satisfy a_(q+1) = T a_q - P a_(q-1)
-where P permutes indices by tensoring with the determinant character.  The
+where P permutes indices by tensoring with the determinant character.  By
+Molien's formula sum_q a_q t^q has poles only at m-th roots of unity (m the
+conductor), each of order at most 2, so the step a_(q+m) - a_q depends only
+on q mod m.  The recurrence therefore runs once per group, for q < 3m, and
+row q = s + k*m is a_s + k * (a_(s+m) - a_s) for every q.  The
 literal inner-product evaluation is kept as `decompose_inner` and serves as
 the oracle for the fast route.
 """
@@ -25,7 +29,7 @@ the oracle for the fast route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import ConsistencyError, CycloElement
 from .klein import (
@@ -41,52 +45,34 @@ from .klein import (
 # symmetric-power characters
 
 
-def _sym_value_counts(G: KleinGroup, q_max: int) -> list[list[list[int]]]:
-    """Per q, per class: the value of chi_Sym^q as exponent counts.
+def sym_character_series(G: KleinGroup, q_max: int) -> list[Character]:
+    """Characters of Sym^q(V) for q = 0..q_max via the recurrence.
 
-    counts[e] is the number of eigenvalue products equal to zeta^e, so the
-    character value is sum_e counts[e] * zeta^e.  The recurrence multiplies by
-    the trace zeta^e1 + zeta^e2 (two shifts) and subtracts the determinant
-    twist zeta^(e1+e2) of the previous row (one shift).
+    Per class the value is kept as exponent counts: counts[e] is the number
+    of eigenvalue products equal to zeta^e, so the value is
+    sum_e counts[e] * zeta^e.  The recurrence, started from Sym^-1 = 0,
+    multiplies by the trace zeta^e1 + zeta^e2 (two shifts) and subtracts the
+    determinant twist zeta^(e1+e2) of the previous row (one shift).
     """
     m = G.m
     r = G.num_classes
-    prev = [[0] * m for _ in range(r)]
-    for c in range(r):
-        prev[c][0] = 1
-    rows = [prev]
-    if q_max == 0:
-        return rows
-    cur = []
-    for c in range(r):
-        e1, e2 = G.class_eigen[c]
-        vec = [0] * m
-        vec[e1] += 1
-        vec[e2] += 1
-        cur.append(vec)
-    rows.append(cur)
-    for _ in range(q_max - 1):
+    prev = [[0] * m for _ in range(r)]              # Sym^-1 = 0
+    cur = [[1] + [0] * (m - 1) for _ in range(r)]   # Sym^0 = trivial
+    rows = [cur]
+    for _ in range(q_max):
         nxt = []
         for c in range(r):
             e1, e2 = G.class_eigen[c]
             ed = (e1 + e2) % m
-            pc, qc = rows[-1][c], rows[-2][c]
+            pc, qc = cur[c], prev[c]
             vec = [
                 pc[(e - e1) % m] + pc[(e - e2) % m] - qc[(e - ed) % m]
                 for e in range(m)
             ]
             nxt.append(vec)
-        rows.append(nxt)
-    return rows
-
-
-def sym_character_series(G: KleinGroup, q_max: int) -> list[Character]:
-    """Characters of Sym^q(V) for q = 0..q_max via the recurrence."""
-    rows = _sym_value_counts(G, q_max)
-    out = []
-    for row in rows:
-        out.append(Character(G, tuple(G.ctx.from_counts(vec) for vec in row)))
-    return out
+        prev, cur = cur, nxt
+        rows.append(cur)
+    return [Character(G, tuple(G.ctx.from_counts(vec) for vec in row)) for row in rows]
 
 
 def sym_character(G: KleinGroup, q: int) -> Character:
@@ -244,52 +230,60 @@ def _det_permutation(G: KleinGroup) -> list[int]:
     return perm
 
 
+@lru_cache(maxsize=None)
+def _period_rows(G: KleinGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rows alpha_s and steps alpha_(s+m) - alpha_s for s < m (see the module doc).
+
+    The recurrence runs from (Sym^-1, Sym^0) = (0, trivial) through q = 3m - 1;
+    every row is checked, and the steps from q = m on must repeat the first m.
+    """
+    degrees = character_table(G).degrees
+    T = _tensor_matrix(G)
+    perm = _det_permutation(G)
+    r, m = len(degrees), G.m
+    rows = [(0,) * r, tuple(1 if i == 0 else 0 for i in range(r))]
+    while len(rows) <= 3 * m:
+        prev, cur = rows[-2], rows[-1]
+        nxt = [sum(Ti[j] * cur[j] for j in range(r) if cur[j]) for Ti in T]
+        for j in range(r):
+            if prev[j]:
+                nxt[perm[j]] -= prev[j]
+        rows.append(tuple(nxt))
+    del rows[0]  # Sym^-1
+    for q, row in enumerate(rows):
+        _check_multiplicity_row(G, degrees, q, row)
+    steps = [tuple(b - a for a, b in zip(rows[q], rows[q + m])) for q in range(2 * m)]
+    if steps[:m] != steps[m:] or min(map(min, steps)) < 0:
+        raise ConsistencyError(f"Sym^q multiplicity steps of {G.kind} are not m-periodic")
+    return tuple(rows[:m]), tuple(steps[:m])
+
+
+def _multiplicity_column(G: KleinGroup, i: int, N: int) -> list[int]:
+    """alpha_(i,q) for q = 0..N, without building the other columns."""
+    base, steps = _period_rows(G)
+    pairs = [(row[i], step[i]) for row, step in zip(base, steps)]
+    return [a + k * d for k in range(N // G.m + 1) for a, d in pairs][: N + 1]
+
+
 def multiplicity_series(G: KleinGroup, q_max: int) -> list[tuple[int, ...]]:
     """Multiplicity vectors of Sym^q(V) for q = 0..q_max (table order).
 
-    Pushes the character recurrence through the decomposition map, so each
-    step is one integer matrix-vector product; every row is hard-checked for
-    non-negativity and dimension conservation.  Rows are cached on the group,
-    so sweeping several irreducibles at one horizon costs a single pass.
+    Row q = s + k*m is alpha_s + k * step_s, read off the period table of G;
+    non-negativity and dimension conservation carry over from the checked
+    rows, since both are linear in k.
     """
     if q_max < 0:
         raise ValueError("q_max must be non-negative")
-    rows: list[tuple[int, ...]] | None = getattr(G, "_sym_mult_rows", None)
-    if rows is None or q_max >= len(rows):
-        degrees = character_table(G).degrees
-        r = len(degrees)
-    if rows is None:
-        prev = tuple(1 if i == 0 else 0 for i in range(r))  # Sym^0 = trivial
-        _check_multiplicity_row(G, degrees, 0, prev)
-        rows = [prev]
-        G._sym_mult_rows = rows
-    if q_max >= len(rows):
-        T = _tensor_matrix(G)
-        perm = _det_permutation(G)
-        if len(rows) == 1:
-            cur = tuple(T[i][0] for i in range(r))  # Sym^1 = V
-            _check_multiplicity_row(G, degrees, 1, cur)
-            rows.append(cur)
-        for q in range(len(rows), q_max + 1):
-            prev, cur = rows[-2], rows[-1]
-            nxt = [0] * r
-            for i in range(r):
-                Ti = T[i]
-                nxt[i] = sum(Ti[j] * cur[j] for j in range(r) if cur[j])
-            for j in range(r):
-                if prev[j]:
-                    nxt[perm[j]] -= prev[j]
-            nxt = tuple(nxt)
-            _check_multiplicity_row(G, degrees, q, nxt)
-            rows.append(nxt)
-    return rows[: q_max + 1]
+    return list(zip(*(_multiplicity_column(G, i, q_max) for i in range(G.num_classes))))
 
 
 def decompose(G: KleinGroup, q: int) -> Decomposition:
-    """Multiplicities alpha_(i,q) of each irreducible in Sym^q(V)."""
+    """Multiplicities alpha_(i,q) of each irreducible in Sym^q(V), in O(r) for any q."""
     if q < 0:
         raise ValueError("q must be non-negative")
-    return Decomposition(G, q, multiplicity_series(G, q)[q])
+    base, steps = _period_rows(G)
+    k, s = divmod(q, G.m)
+    return Decomposition(G, q, tuple(a + k * d for a, d in zip(base[s], steps[s])))
 
 
 def springer_series(G: KleinGroup, i: int, q_max: int) -> list[int]:

@@ -67,6 +67,16 @@ class TestExitCodes:
     def test_usage_error_on_unknown_subcommand(self):
         assert run("frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("argv", [("table", "BT"), ("decompose", "BT", "3")])
+    def test_usage_error_on_horizon_without_a_sum(self, argv):
+        code, out, err = run(*argv, "--horizon", "5")
+        assert code == 2 and not out and "--horizon" in err
+
+    @pytest.mark.parametrize("what", ["dsigma", "bound"])
+    def test_usage_error_on_q_for_elliptic_sums(self, what):
+        code, out, err = run("elliptic", what, "7")
+        assert code == 2 and not out and err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("target", ["missing/x.txt", ""], ids=["missing-dir", "directory"])
     def test_usage_error_on_unwritable_output(self, tmp_path, target):
         code, out, err = run("table", "BT", "--output", str(tmp_path / target))
@@ -95,6 +105,13 @@ class TestReports:
         data = rows[rows.index(header) + 1 :]
         got = [(r[qi], r[ai]) for r in data]
         assert got == [("0", "1"), ("1", "0"), ("2", "3"), ("3", "0"), ("4", "5")]
+
+    def test_decompose_reads_one_far_row(self):
+        q = 10**22
+        code, out, _ = run("decompose", "BT", str(q), "--format", "json")
+        doc = json.loads(out)
+        (row,) = next(s for s in doc["sections"] if s["name"] == "multiplicities")["rows"]
+        assert code == 0 and row["q"] == str(q) and row["dimension"] == str(q + 1)
 
     def test_decompose_conservation_column(self):
         _, out, _ = run("decompose", "BT", "0..24", "--format", "csv")

@@ -132,8 +132,8 @@ class TestDecompose:
     def test_matches_inner_product_route(self):
         for kind in PANEL:
             G = build_group(kind)
-            rows = multiplicity_series(G, 16)
-            for q in (0, 1, 2, 3, 7, 16):
+            rows = multiplicity_series(G, max(16, 5 * G.m + 2))
+            for q in (0, 1, 2, 3, 7, 16, 3 * G.m + 1, 5 * G.m + 2):
                 assert rows[q] == decompose_inner(G, q).multiplicities
 
     def test_dimension_conservation_deep(self):

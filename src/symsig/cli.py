@@ -48,6 +48,9 @@ from .elliptic import (
 from .selfcheck import run_selfcheck
 
 
+DEFAULT_HORIZON = 1000
+
+
 class UsageError(Exception):
     """Bad command-line input (exit status 2)."""
 
@@ -240,6 +243,8 @@ def _horizon_ladder(N: int, start: int) -> list[int]:
 def cmd_elliptic(args) -> Report:
     which = args.what
     if which == "sym":
+        if args.horizon is not None:
+            raise UsageError("elliptic sym takes no --horizon; give its range as Q or LO..HI")
         lo, hi = parse_q_range(args.q) if args.q is not None else (0, 8)
         rep = Report(title="symmetric powers of the restricted cotangent bundle")
         rep.meta = [("curve", "plane cubic"), ("identity", "Sym^q = F_(q+1) (x) O(q)")]
@@ -269,7 +274,7 @@ def cmd_elliptic(args) -> Report:
 
     if args.q is not None:
         raise UsageError(f"elliptic {which} takes no q; set its range with --horizon")
-    N = args.horizon
+    N = DEFAULT_HORIZON if args.horizon is None else args.horizon
     if N < 1:
         raise UsageError("--horizon must be at least 1")
     if which == "dsigma":
@@ -386,17 +391,21 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("signature", parents=[common], help="signature partial sums and bounds")
     ps.add_argument("group", help="cyclic:<n>,<a> | BD:<n> | BT | BO | BI")
     ps.add_argument("-i", "--index", type=int, default=0, help="irreducible index (default 0)")
+    ps.add_argument(
+        "--horizon", type=int, default=DEFAULT_HORIZON, metavar="N",
+        help=f"summation horizon (default: {DEFAULT_HORIZON})",
+    )
     ps.set_defaults(fn=cmd_signature)
 
     pe = sub.add_parser("elliptic", parents=[common], help="formal elliptic-cone calculus")
     pe.add_argument("what", choices=("dsigma", "bound", "sym"))
     pe.add_argument("q", nargs="?", help="q or LO..HI (sym subcommand only)")
+    # No default here, so that an explicit --horizon on `sym` can be rejected.
+    pe.add_argument(
+        "--horizon", type=int, metavar="N",
+        help=f"summation horizon for dsigma and bound (default: {DEFAULT_HORIZON})",
+    )
     pe.set_defaults(fn=cmd_elliptic)
-    for summing in (ps, pe):
-        summing.add_argument(
-            "--horizon", type=int, default=1000, metavar="N",
-            help="summation horizon (default: 1000)",
-        )
     return p
 
 

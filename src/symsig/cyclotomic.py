@@ -159,8 +159,8 @@ class CycloContext:
         num = [f.numerator * (den // f.denominator) for f in fracs]
         return CycloElement._make(self, num, den)
 
-    def from_counts(self, counts) -> "CycloElement":
-        """Sum of counts[e] * zeta^e over e in [0, m), with integer counts.
+    def from_counts(self, counts, den: int = 1) -> "CycloElement":
+        """(sum of counts[e] * zeta^e over e in [0, m)) / den, with integer counts.
 
         This is the cheap bridge from eigenvalue-exponent bookkeeping (where
         symmetric-power character values are just multisets of exponents) back
@@ -174,10 +174,70 @@ class CycloContext:
                 for j, pj in enumerate(self._zeta_num[e]):
                     if pj:
                         acc[j] += c * pj
-        return CycloElement._make(self, acc, 1)
+        return CycloElement._make(self, acc, den)
+
+    def pack(self, elements, width: int) -> tuple[list[int], int]:
+        """Kronecker substitution: each element as one int over a common denominator.
+
+        Returns (ints, den) with element k equal to (sum_j a_kj z^j) / den and
+        ints[k] = sum_j a_kj * 2^(j*width): the signed power-basis numerators
+        sit in slots of ``width`` bits.  Products of packed ints are products
+        of the polynomials in z, not yet reduced mod Phi_m.
+        """
+        den = math.lcm(*(e.den for e in elements))
+        ints = []
+        for e in elements:
+            scale = den // e.den
+            v = 0
+            for a in reversed(e.num):
+                v = (v << width) + a * scale
+            ints.append(v)
+        return ints, den
+
+    def packed_sum(self, weights, xs, ys, den: int, width: int) -> Fraction | None:
+        """sum_k weights[k] * x_k * y_k over packed xs and ys (see ``pack``).
+
+        The products are summed as big ints, the 2*phi(m) - 1 signed slots
+        decoded and reduced mod Phi_m once.  ``den`` is the product of the two
+        sides' denominators.  The slots must hold the sum: a width of
+        bits(max|x|) + bits(max|y|) + bits(sum|w| * phi(m)) + 2 does.
+        Returns the sum, or None if it is not rational.
+        """
+        total = sum(w * x * y for w, x, y in zip(weights, xs, ys))
+        d = self.degree
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        slots = []
+        for _ in range(2 * d - 1):
+            s = total & mask
+            if s >= half:
+                s -= mask + 1
+            slots.append(s)
+            total = (total - s) >> width
+        if total:
+            raise ConsistencyError(f"packed sum overflows its {width}-bit slots")
+        acc = slots[:d]
+        for s, red in zip(slots[d:], self._red):
+            if s:
+                for j, rj in enumerate(red):
+                    if rj:
+                        acc[j] += s * rj
+        if any(acc[1:]):
+            return None
+        return Fraction(acc[0], den)
 
     def __repr__(self) -> str:
         return f"CycloContext(m={self.m})"
+
+
+def numerator_bits(elements) -> int:
+    """Bit length of the largest |numerator| of elements over their common denominator."""
+    den = math.lcm(*(e.den for e in elements))
+    top = 0
+    for e in elements:
+        scale = den // e.den
+        top = max(top, max(e.num) * scale, -min(e.num) * scale)
+    return top.bit_length()
 
 
 @lru_cache(maxsize=None)

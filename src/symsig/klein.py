@@ -42,6 +42,7 @@ from .cyclotomic import (
     CycloContext,
     CycloElement,
     get_context,
+    numerator_bits,
 )
 
 
@@ -458,17 +459,67 @@ def fundamental_character(G: KleinGroup) -> Character:
     return G._fundamental
 
 
+def _conj(values) -> tuple[CycloElement, ...]:
+    return tuple(v.conjugate() for v in values)
+
+
+class _Packed:
+    """One vector of field elements, packed by CycloContext.pack at some width."""
+
+    __slots__ = ("values", "ints", "den", "width")
+
+    def __init__(self, values):
+        self.values = values
+        self.width = None
+
+
+class _Packing:
+    """Packs class functions of G at one slot width, for exact inner products.
+
+    Each vector is packed once and reused for every inner product it enters.
+    The width, 2 * bits + bits(|G| * phi(m)) + 2, holds every slot of
+    sum_c w_c * x_c * y_c for any two packed vectors and weights with
+    sum |w_c| <= |G|; ``bits`` is the widest numerator packed so far.  A wider
+    vector raises the width, and vectors packed before are repacked on use.
+    """
+
+    __slots__ = ("G", "sizes", "bits", "width")
+
+    def __init__(self, G: KleinGroup):
+        self.G = G
+        self.sizes = tuple(cls.size for cls in G.classes)
+        self.bits = 0
+        self.width = (G.order * G.ctx.degree).bit_length() + 2
+
+    def pack(self, *vectors) -> list[_Packed]:
+        bits = max(map(numerator_bits, vectors))
+        if bits > self.bits:
+            self.width += 2 * (bits - self.bits)
+            self.bits = bits
+        return [_Packed(v) for v in vectors]
+
+    def sum(self, weights, x: _Packed, y: _Packed) -> Fraction | None:
+        """sum_k weights[k] * x_k * y_k, or None if it is not rational."""
+        for p in (x, y):
+            if p.width != self.width:
+                p.ints, p.den = self.G.ctx.pack(p.values, self.width)
+                p.width = self.width
+        return self.G.ctx.packed_sum(weights, x.ints, y.ints, x.den * y.den, self.width)
+
+    def inner(self, x: _Packed, y: _Packed) -> Fraction:
+        """<phi, psi> for x packed from conj(phi) and y packed from psi."""
+        r = self.sum(self.sizes, x, y)
+        if r is None:
+            raise ConsistencyError(
+                "inner product of class functions is not rational; inputs are not characters"
+            )
+        return r / self.G.order
+
+
 def _values_inner(G: KleinGroup, phi, psi) -> Fraction:
     """<phi, psi> = (1/|G|) sum over classes of size * conj(phi) * psi."""
-    acc = G.ctx.zero
-    for c, cls in enumerate(G.classes):
-        acc = acc + cls.size * (phi[c].conjugate() * psi[c])
-    r = acc.to_rational()
-    if r is None:
-        raise ConsistencyError(
-            "inner product of class functions is not rational; inputs are not characters"
-        )
-    return r / G.order
+    packing = _Packing(G)
+    return packing.inner(*packing.pack(_conj(phi), psi))
 
 
 def inner_product(phi: Character, psi: Character) -> Fraction:
@@ -509,9 +560,13 @@ class CharacterTable:
             )
         if sum(d * d for d in self.degrees) != G.order:
             raise ConsistencyError("sum of squared degrees differs from |G|")
-        for i, chi in enumerate(self.irreducibles):
+        rows = [chi.values for chi in self.irreducibles]
+        conj_rows = [_conj(row) for row in rows]
+        packing = _Packing(G)
+        packed = packing.pack(*conj_rows, *rows)
+        for i in range(r):
             for j in range(i, r):
-                got = inner_product(chi, self.irreducibles[j])
+                got = packing.inner(packed[i], packed[r + j])
                 want = 1 if i == j else 0
                 if got != want:
                     raise ConsistencyError(
@@ -519,16 +574,13 @@ class CharacterTable:
                     )
         # Column (second) orthogonality: sum_i conj(chi_i(c)) chi_i(c') is
         # |G|/size(c) on the diagonal and 0 off it.
+        ones = (1,) * r
+        packing = _Packing(G)
+        packed = packing.pack(*zip(*conj_rows), *zip(*rows))
         for c in range(r):
             for cp in range(c, r):
-                acc = G.ctx.zero
-                for chi in self.irreducibles:
-                    acc = acc + chi.values[c].conjugate() * chi.values[cp]
-                want = (
-                    G.ctx.rational(Fraction(G.order, G.classes[c].size))
-                    if c == cp
-                    else G.ctx.zero
-                )
+                acc = packing.sum(ones, packed[c], packed[r + cp])
+                want = Fraction(G.order, G.classes[c].size) if c == cp else 0
                 if acc != want:
                     raise ConsistencyError(
                         f"column orthogonality fails at classes ({c}, {cp})"
@@ -582,25 +634,31 @@ def _induced_from_cyclic(G: KleinGroup, c: int) -> list[tuple[CycloElement, ...]
             if s is not None:
                 counts[s] += 1
         hit_counts.append(counts)
-    step = G.m // d
+    m = G.m
+    step = m // d
     out = []
     for t in range(d):
         values = []
-        for cp in range(G.num_classes):
-            acc = ctx.zero
-            for s, cnt in enumerate(hit_counts[cp]):
+        for hits in hit_counts:
+            counts = [0] * m
+            for s, cnt in enumerate(hits):
                 if cnt:
-                    acc = acc + cnt * ctx.zeta(step * t * s)
-            values.append(acc * Fraction(1, d))
+                    counts[(step * t * s) % m] += cnt
+            values.append(ctx.from_counts(counts, d))
         out.append(tuple(values))
     return out
 
 
-def _peel(G, vec, found):
-    """Subtract integer multiples of the found irreducibles from vec."""
-    out = vec
-    for chi in found:
-        coeff = _values_inner(G, out, chi)
+def _peel(packing: _Packing, vec, found):
+    """Subtract integer multiples of the found irreducibles from vec.
+
+    found holds (values, packed conjugate values) pairs.  <vec, chi> is
+    rational, so it equals <chi, vec>, whose conjugated side is chi.
+    Returns the remainder and its packing.
+    """
+    out, = packing.pack(vec)
+    for chi, conj_chi in found:
+        coeff = packing.inner(conj_chi, out)
         if coeff.denominator != 1:
             raise ConsistencyError(
                 f"non-integer multiplicity {coeff} while peeling a character"
@@ -610,30 +668,35 @@ def _peel(G, vec, found):
                 f"negative multiplicity {coeff} while peeling a genuine character"
             )
         if coeff:
-            out = tuple(x - int(coeff) * y for x, y in zip(out, chi))
-    return out
+            out, = packing.pack(tuple(x - int(coeff) * y for x, y in zip(out.values, chi)))
+    return out.values, out
 
 
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     """Tensor-peeling with induced-character seeds."""
     r = G.num_classes
     fund = tuple(fundamental_character(G).values)
-    found: list[tuple[CycloElement, ...]] = [_trivial_values(G)]
+    packing = _Packing(G)
+    trivial = _trivial_values(G)
+    conj_trivial, = packing.pack(_conj(trivial))
+    found = [(trivial, conj_trivial)]
     residuals: list[tuple[CycloElement, ...]] = []
     queue = deque([fund])
     for c in range(r):
         queue.extend(_induced_from_cyclic(G, c))
     budget = 60 * r * r
 
-    def norm(vec) -> Fraction:
-        return _values_inner(G, vec, vec)
-
-    def register(vec) -> None:
+    def try_register(vec, packed) -> bool:
+        """Register vec (packed is its packing) as an irreducible if it has norm 1."""
+        conj_vec, = packing.pack(_conj(vec))
+        if packing.inner(conj_vec, packed) != 1:
+            return False
         deg = vec[0].to_rational()
         if deg is None or deg.denominator != 1 or deg <= 0:
             raise ConsistencyError(f"norm-1 remainder with bad degree {deg!r}")
-        found.append(vec)
+        found.append((vec, conj_vec))
         queue.append(tuple(x * y for x, y in zip(vec, fund)))
+        return True
 
     processed = 0
     while len(found) < r:
@@ -644,12 +707,10 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
                 raise ConsistencyError(
                     f"character discovery for {G.kind} exceeded its budget"
                 )
-            vec = _peel(G, queue.popleft(), found)
+            vec, packed = _peel(packing, queue.popleft(), found)
             if all(v.is_zero for v in vec):
                 continue
-            n = norm(vec)
-            if n == 1:
-                register(vec)
+            if try_register(vec, packed):
                 made_progress = True
             else:
                 residuals.append(vec)
@@ -660,11 +721,10 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
         # any norm-1 remainder is an irreducible.
         kept = []
         for vec in residuals:
-            vec = _peel(G, vec, found)
+            vec, packed = _peel(packing, vec, found)
             if all(v.is_zero for v in vec):
                 continue
-            if norm(vec) == 1:
-                register(vec)
+            if try_register(vec, packed):
                 made_progress = True
             else:
                 kept.append(vec)
@@ -674,7 +734,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
                 f"character discovery stalled for {G.kind}: "
                 f"{len(found)} of {r} irreducibles found"
             )
-    return found
+    return [vec for vec, _ in found]
 
 
 def cyclic_weight_indices(G: KleinGroup) -> dict[int, int]:

@@ -16,14 +16,14 @@ the fundamental 2-dimensional representation, cross-checking each other:
 
 Decompositions push the same recurrence through the decomposition map: with
 T[i][j] the multiplicity of chi_i in chi_V * chi_j (an exact inner product,
-computed once), the multiplicity vectors satisfy a_(q+1) = T a_q - P a_(q-1)
-where P permutes indices by tensoring with the determinant character.  By
-Molien's formula sum_q a_q t^q has poles only at m-th roots of unity (m the
-conductor), each of order at most 2, so the step a_(q+m) - a_q depends only
-on q mod m.  The recurrence therefore runs once per group, for q < 3m, and
-row q = s + k*m is a_s + k * (a_(s+m) - a_s) for every q.  The
-literal inner-product evaluation is kept as `decompose_inner` and serves as
-the oracle for the fast route.
+computed once and stored as sparse columns), the multiplicity vectors
+satisfy a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring
+with the determinant character.  By Molien's formula sum_q a_q t^q has poles
+only at m-th roots of unity (m the conductor), each of order at most 2, so
+the step a_(q+m) - a_q depends only on q mod m.  The recurrence therefore
+runs once per group, for q < 3m, and row q = s + k*m is
+a_s + k * (a_(s+m) - a_s) for every q.  The literal inner-product evaluation
+is kept as `decompose_inner` and serves as the oracle for the fast route.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .klein import (
     KleinGroup,
     character_table,
     fundamental_character,
+    _conj,
+    _Packing,
     _values_inner,
 )
 
@@ -45,20 +47,20 @@ from .klein import (
 # symmetric-power characters
 
 
-def sym_character_series(G: KleinGroup, q_max: int) -> list[Character]:
-    """Characters of Sym^q(V) for q = 0..q_max via the recurrence.
+def _sym_counts(G: KleinGroup, q_max: int):
+    """Yield the exponent counts of Sym^q(V) for q = 0..q_max, one list per class.
 
-    Per class the value is kept as exponent counts: counts[e] is the number
-    of eigenvalue products equal to zeta^e, so the value is
-    sum_e counts[e] * zeta^e.  The recurrence, started from Sym^-1 = 0,
-    multiplies by the trace zeta^e1 + zeta^e2 (two shifts) and subtracts the
-    determinant twist zeta^(e1+e2) of the previous row (one shift).
+    counts[e] is the number of eigenvalue products equal to zeta^e, so the
+    value is sum_e counts[e] * zeta^e.  The recurrence, started from
+    Sym^-1 = 0, multiplies by the trace zeta^e1 + zeta^e2 (two shifts) and
+    subtracts the determinant twist zeta^(e1+e2) of the previous row (one
+    shift).
     """
     m = G.m
     r = G.num_classes
     prev = [[0] * m for _ in range(r)]              # Sym^-1 = 0
     cur = [[1] + [0] * (m - 1) for _ in range(r)]   # Sym^0 = trivial
-    rows = [cur]
+    yield cur
     for _ in range(q_max):
         nxt = []
         for c in range(r):
@@ -71,15 +73,25 @@ def sym_character_series(G: KleinGroup, q_max: int) -> list[Character]:
             ]
             nxt.append(vec)
         prev, cur = cur, nxt
-        rows.append(cur)
-    return [Character(G, tuple(G.ctx.from_counts(vec) for vec in row)) for row in rows]
+        yield cur
+
+
+def _counts_character(G: KleinGroup, counts) -> Character:
+    return Character(G, tuple(G.ctx.from_counts(vec) for vec in counts))
+
+
+def sym_character_series(G: KleinGroup, q_max: int) -> list[Character]:
+    """Characters of Sym^q(V) for q = 0..q_max via the recurrence."""
+    return [_counts_character(G, counts) for counts in _sym_counts(G, q_max)]
 
 
 def sym_character(G: KleinGroup, q: int) -> Character:
     """The character of Sym^q(V) (recurrence route, the default)."""
     if q < 0:
         raise ValueError("q must be non-negative")
-    return sym_character_series(G, q)[q]
+    for counts in _sym_counts(G, q):
+        pass
+    return _counts_character(G, counts)
 
 
 def _eigen_pair_search(G: KleinGroup, c: int) -> tuple[int, int]:
@@ -193,22 +205,35 @@ def decompose_inner(G: KleinGroup, q: int) -> Decomposition:
     return Decomposition(G, q, row)
 
 
-def _tensor_matrix(G: KleinGroup) -> list[list[int]]:
-    """T[i][j] = multiplicity of chi_i in chi_V * chi_j (exact, non-negative)."""
+def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
+    """Sparse columns of T: column j lists (i, T[i][j]) for each T[i][j] != 0.
+
+    T[i][j] is the multiplicity of chi_i in chi_V * chi_j (exact,
+    non-negative), computed as <chi_i, chi_V * chi_j>: the table rows are
+    the conjugated side, each conjugated and packed once.
+    """
     table = character_table(G)
-    fund = fundamental_character(G)
+    fund = fundamental_character(G).values
     r = len(table)
-    T = [[0] * r for _ in range(r)]
-    for j in range(r):
-        prod = tuple(x * y for x, y in zip(fund.values, table[j].values))
-        for i in range(r):
-            a = _values_inner(G, prod, table[i].values)
+    packing = _Packing(G)
+    packed = packing.pack(
+        *(_conj(chi.values) for chi in table),
+        *(tuple(x * y for x, y in zip(fund, chi.values)) for chi in table),
+    )
+    rows, prods = packed[:r], packed[r:]
+    columns = []
+    for prod in prods:
+        column = []
+        for i, row in enumerate(rows):
+            a = packing.inner(row, prod)
             if a.denominator != 1 or a < 0:
                 raise ConsistencyError(
                     f"tensor multiplicity {a} is not a non-negative integer"
                 )
-            T[i][j] = int(a)
-    return T
+            if a:
+                column.append((i, int(a)))
+        columns.append(column)
+    return columns
 
 
 def _det_permutation(G: KleinGroup) -> list[int]:
@@ -238,16 +263,20 @@ def _period_rows(G: KleinGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     every row is checked, and the steps from q = m on must repeat the first m.
     """
     degrees = character_table(G).degrees
-    T = _tensor_matrix(G)
+    columns = _tensor_matrix(G)
     perm = _det_permutation(G)
     r, m = len(degrees), G.m
     rows = [(0,) * r, tuple(1 if i == 0 else 0 for i in range(r))]
     while len(rows) <= 3 * m:
         prev, cur = rows[-2], rows[-1]
-        nxt = [sum(Ti[j] * cur[j] for j in range(r) if cur[j]) for Ti in T]
-        for j in range(r):
-            if prev[j]:
-                nxt[perm[j]] -= prev[j]
+        nxt = [0] * r
+        for column, a in zip(columns, cur):
+            if a:
+                for i, t in column:
+                    nxt[i] += t * a
+        for j, b in enumerate(prev):
+            if b:
+                nxt[perm[j]] -= b
         rows.append(tuple(nxt))
     del rows[0]  # Sym^-1
     for q, row in enumerate(rows):

@@ -77,6 +77,11 @@ class TestExitCodes:
         code, out, err = run("elliptic", what, "7")
         assert code == 2 and not out and err.startswith("error: ") and err.count("\n") == 1
 
+    def test_usage_error_on_horizon_for_elliptic_sym(self):
+        code, out, err = run("elliptic", "sym", "2", "--horizon", "3")
+        assert code == 2 and not out and err.startswith("error: ") and err.count("\n") == 1
+        assert "--horizon" in err
+
     @pytest.mark.parametrize("target", ["missing/x.txt", ""], ids=["missing-dir", "directory"])
     def test_usage_error_on_unwritable_output(self, tmp_path, target):
         code, out, err = run("table", "BT", "--output", str(tmp_path / target))

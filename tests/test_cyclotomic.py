@@ -13,6 +13,7 @@ from symsig.cyclotomic import (
     divisors,
     euler_phi,
     get_context,
+    numerator_bits,
 )
 
 
@@ -204,3 +205,78 @@ class TestFieldAxioms:
         z = (x * x.conjugate()).embed_complex()
         assert abs(z.imag) < 1e-9
         assert z.real > -1e-9
+
+
+def random_element(ctx, rng):
+    """Mostly zero or small coefficients, some negative, some with denominators."""
+    kind = rng.random()
+    if kind < 0.15:
+        return ctx.zero
+    coeffs = []
+    for _ in range(ctx.degree):
+        if rng.random() < 0.3:
+            coeffs.append(0)
+        else:
+            coeffs.append(Fraction(rng.randint(-40, 40), rng.choice((1, 1, 2, 3, 12))))
+    return ctx.from_coeffs(coeffs)
+
+
+def packed_sum(ctx, weights, xs, ys):
+    """The kernel, at the slot width its docstring prescribes."""
+    width = (
+        numerator_bits(xs) + numerator_bits(ys)
+        + (sum(map(abs, weights)) * ctx.degree).bit_length() + 2
+    )
+    px, dx = ctx.pack(xs, width)
+    py, dy = ctx.pack(ys, width)
+    return ctx.packed_sum(weights, px, py, dx * dy, width)
+
+
+def plain_sum(ctx, weights, xs, ys):
+    """Oracle: the same sum in field arithmetic, one reduction per product."""
+    acc = ctx.zero
+    for w, x, y in zip(weights, xs, ys):
+        acc = acc + w * (x * y)
+    return acc
+
+
+@pytest.mark.parametrize("m", [7, 12, 60, 116])
+class TestPackedSum:
+    def test_matches_field_arithmetic(self, m):
+        ctx = get_context(m)
+        rng = random.Random(f"packed-sum:{m}")
+        for _ in range(12):
+            n = rng.randint(1, 9)
+            weights = [rng.randint(1, 30) for _ in range(n)]
+            xs = [random_element(ctx, rng) for _ in range(n)]
+            ys = [random_element(ctx, rng) for _ in range(n)]
+            plain = plain_sum(ctx, weights, xs, ys)
+            assert packed_sum(ctx, weights, xs, ys) == plain.to_rational()
+            # Close the sum with one more term so that it is a known rational.
+            target = Fraction(rng.randint(-99, 99), rng.randint(1, 7))
+            closing = ctx.rational(target) - plain
+            got = packed_sum(ctx, weights + [1], xs + [ctx.one], ys + [closing])
+            assert got == target
+
+    def test_constant_terms_of_rational_sums(self, m):
+        ctx = get_context(m)
+        xs = [ctx.zeta(k) for k in range(m)]
+        ys = [ctx.zeta(-k) for k in range(m)]
+        assert packed_sum(ctx, [2] * m, xs, ys) == 2 * m
+        assert packed_sum(ctx, [1] * m, xs, [ctx.one] * m) == 0
+
+
+def test_packed_sum_detects_overflowing_slots():
+    ctx = get_context(4)  # Q(i): phi = 2, so the sum has slots for 1, z, z^2
+    x = ctx.from_coeffs([0, 100])
+    px, dx = ctx.pack([x], 4)
+    with pytest.raises(ConsistencyError):
+        ctx.packed_sum([1], px, px, dx * dx, 4)
+
+
+def test_numerator_bits_uses_the_common_denominator():
+    ctx = get_context(12)
+    x = ctx.from_coeffs([Fraction(-5, 3)] + [0] * (ctx.degree - 1))
+    y = ctx.from_coeffs([Fraction(1, 4)] + [0] * (ctx.degree - 1))
+    assert numerator_bits([x, y]) == (5 * 4).bit_length()
+    assert numerator_bits([ctx.zero]) == 0

@@ -1,0 +1,111 @@
+"""Golden CLI corpus: stdout of fixed commands, pinned by its sha256.
+
+The hashes were captured before the packed inner-product kernel replaced
+the per-term field arithmetic; any change to a printed byte fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+import symsig.cli as cli
+
+GROUPS = ("BT", "BI", "BD:5", "cyclic:7,3", "cyclic:60,7")
+COMMANDS = {
+    "table": ("table", "{g}"),
+    "decompose": ("decompose", "{g}", "0..32"),
+    "signature": ("signature", "{g}", "--horizon", "2000"),
+}
+FORMATS = ("pretty", "csv", "json")
+
+SHA256 = {
+    ("table", "BT"): (
+        "2ca4506ab0a417b0d983a09250729c39a3d8499625305fc9e8b2cf575eed0c04",
+        "859040e360414e984b44aab0ee873c74e75a96dc7dca033f2769f2263dd37a71",
+        "5ecf21798dbd1010c1f6c19c04c23b01ce279f9d6836b1f40325886d6d2cf838",
+    ),
+    ("decompose", "BT"): (
+        "b7eedceae9661e292641258c5e05bba61e110d9a65ae87e86e7f8649636f203e",
+        "91fe199c4d461b1c1c173fd47aeeebf5507b15e82c453bd2590d800ff1743a9b",
+        "e573578279a1fa2dfc9c8a4fe0e9c7fcab317bfec85a5b395e789c0e90b5367f",
+    ),
+    ("signature", "BT"): (
+        "7a3fee1861c0b1732787f4356b187a9db99deecd4d9f67df6aaecb9cd5e5522f",
+        "e5d13840d252bd0e80a593a2fad122d1206ad5c80c9e806b7e13fbfef3f339f7",
+        "60f35bc97597365b1fec8a219c9d2a3c20e478cb2a12cbfcbdecb784ce4b1967",
+    ),
+    ("table", "BI"): (
+        "8ff8c9d0326729efa83a9157ee31273b727426de5cdf67e89cfd1ea0c75ea6b4",
+        "98707409141efc5dc0c9a33e5ef9dd5e06609cd8338534105b3db25567675c01",
+        "b75c1bab115b91673e08757ecccdf11488e67d1df7d75f7beba64c77ef86cc29",
+    ),
+    ("decompose", "BI"): (
+        "bac31184f4d70c1180dd9c35f9fe7151826ee770031c7693f2ec47cb1521a394",
+        "272996627ba52e013403cccb84b052a62960cf61e81d74348e13e90386178f2c",
+        "b15225bc19ff13bed1ae36144022215cb1d5fb39382b6e8c9ecd6130d652f5a9",
+    ),
+    ("signature", "BI"): (
+        "7be0f3fa47e1a71ad5c9cc302a84817460dc204508ef904e65a29defddfc3c4d",
+        "4877b6f24f4a3e52a964592eae015f3b2123348caeb50277634cbdc996351065",
+        "e73f37e20337790a23c5908b58c80b15f81f4ddabb57c0eb280020ee0c725528",
+    ),
+    ("table", "BD:5"): (
+        "1046d7e288a021e8988844fa53d041815ae6a6da012f89abe301df95a8c56d84",
+        "871a434778218e62ff7919f0678c9abd00d4b9f47eb1368de3227f6adca0362a",
+        "329fdf4462688e443bd1ce8f891022d7f8d156637fa02cbb5e37b288bcfd555d",
+    ),
+    ("decompose", "BD:5"): (
+        "ff01ed028575c619ce09ac32c0b203ceb4ff6ad897f8f7ff2e946073eb932ae8",
+        "9e3d9e4e2a275bbea0678926f57b846bf28e4139b8602f3676efac3a799de666",
+        "b21b9edfe318ba203889dadb2d4b617b6696ed3d983e5a9c0909953758569c27",
+    ),
+    ("signature", "BD:5"): (
+        "b06d4295069886da6f5c32d5cc548b19c08fae8e32336ed9089a0d659a5a7629",
+        "d2932c1de48e26319b3b28b4c3bcb0f13d104dcd346007dabd13d87fe1c6e5d2",
+        "b06d8e9cda0c7061b8dadae6ebd73829cf5199e011548b55dbcc63ecefe900d0",
+    ),
+    ("table", "cyclic:7,3"): (
+        "8b0193f0def980aef216e1802e2103979a38cb4c1bdef7c7631a9a2e0e4897a3",
+        "16a7e5e9b03886fdd740f0461912a8bb3df2c7d2a03a248c8c942cd285c696d7",
+        "7098ab3700c2e2df0bcbf7e3c2638290b4c4ad139c7fb3b24f6bb6774edd9fdc",
+    ),
+    ("decompose", "cyclic:7,3"): (
+        "4f817d0e875232361494f417ae5ac9625eb2e7fb961b609b777105374728eef9",
+        "f0d9c54a6796e4d8dea5586e938581311bf2c41362989e891dd26dd551bfead6",
+        "5371c5a947704efff0a6e53a2525c9937096f4322859f002d70dd31d1a027edc",
+    ),
+    ("signature", "cyclic:7,3"): (
+        "eef4d5130054480a304f254638bba635cb64d050862fed689774d667e981a0f1",
+        "ef30f889ea73a74655536661357e537636db9851c0ded983beaaa49e7e36658a",
+        "7783db56cee9cac1e4c1e323888ef67da569637c738ab92ea5ed29b8b0425812",
+    ),
+    ("table", "cyclic:60,7"): (
+        "5a49bf2a7e19164279350068060d6136a9b971929054362a39002bc0e9061377",
+        "4c12dc2b66fd4d4450d5ac1e2d160f2d9dc5e14b54e66cd99a11f4feb8de5946",
+        "526e2d44b2060918dc6c87cf7fe8342443e49df24beb92e1b17fed4048b12a33",
+    ),
+    ("decompose", "cyclic:60,7"): (
+        "507a4f48f8ab7f89dd2ec06acc26a4bd1a72cf43d99301e7fc4e21f7a231be8c",
+        "8da195eab182afca91c0bca95696c7e4a41c070d631b90d01d09510a7e997117",
+        "b4abc8128036a385ce5b84b0e0ef74974d037a3f02d4274790c70b615a21d78d",
+    ),
+    ("signature", "cyclic:60,7"): (
+        "7593a5ac282245a2809f30c04daaf88c3647e92096dd9e7f39ef80c692dfa873",
+        "2c30b23a6eb56ab9c84ce4c77b7a08404f9fca4b34048370de516e0098dfdc44",
+        "84e95ebaf0fedfb31844eb1f8a0aba3298d7b535a77899fd13cefbbad759c969",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("group", GROUPS)
+def test_stdout_hash(group, command, fmt):
+    argv = [arg.format(g=group) for arg in COMMANDS[command]] + ["--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == SHA256[command, group][FORMATS.index(fmt)], " ".join(argv)

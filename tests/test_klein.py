@@ -4,17 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from symsig.cyclotomic import ConsistencyError
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
     BinaryOctahedral,
     BinaryTetrahedral,
+    Character,
+    CharacterTable,
     Cyclic,
     build_group,
     character_table,
     cyclic_weight_indices,
     fundamental_character,
     inner_product,
+    _values_inner,
 )
 
 ALL_KINDS = (
@@ -252,6 +256,37 @@ class TestCharacterTable:
             table = character_table(G)
             cols = [tuple(chi.values[c] for chi in table) for c in range(G.num_classes)]
             assert len(set(cols)) == G.num_classes
+
+
+class TestInnerProductChecks:
+    def test_non_rational_sum_is_rejected(self):
+        for kind in (Cyclic(7, 3), BinaryTetrahedral):
+            G = build_group(kind)
+            trivial = (G.ctx.one,) * G.num_classes
+            twisted = (G.ctx.zeta(1),) * G.num_classes
+            with pytest.raises(ConsistencyError, match="not rational"):
+                _values_inner(G, trivial, twisted)
+
+    @pytest.mark.parametrize("kind", [Cyclic(60, 7), BinaryIcosahedral])
+    def test_wide_values_fit_their_slots(self, kind):
+        # Both sides 60 bits wide: the slot width must count both of them.
+        G = build_group(kind)
+        big = 3 ** 38
+        for unit in (G.ctx.one, -G.ctx.one, G.ctx.zeta(1), G.ctx.zeta(7)):
+            vec = (big * unit,) * G.num_classes
+            assert _values_inner(G, vec, vec) == big * big
+
+    @pytest.mark.parametrize("kind", [Cyclic(7, 3), BinaryDihedral(5), BinaryTetrahedral])
+    def test_validate_rejects_a_perturbed_value(self, kind):
+        G = build_group(kind)
+        table = character_table(G)
+        table.validate()
+        for i, c in ((0, 1), (len(table) - 1, G.num_classes - 1), (1, G.num_classes // 2)):
+            rows = [list(chi.values) for chi in table]
+            rows[i][c] = rows[i][c] + G.ctx.zeta(1)
+            bad = CharacterTable(G, [Character(G, row) for row in rows])
+            with pytest.raises(ConsistencyError):
+                bad.validate()
 
 
 class TestWeightIndices:

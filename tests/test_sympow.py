@@ -14,6 +14,7 @@ from symsig.klein import (
     inner_product,
 )
 from symsig.sympow import (
+    _tensor_matrix,
     decompose,
     decompose_inner,
     molien_coefficients,
@@ -74,6 +75,13 @@ class TestSymCharacter:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             sym_character(build_group(Cyclic(2, 1)), -1)
+
+    def test_one_row_matches_the_series(self):
+        for kind in PANEL:
+            G = build_group(kind)
+            series = sym_character_series(G, 2 * G.m + 1)
+            for q in (0, 1, G.m, 2 * G.m + 1):
+                assert sym_character(G, q).values == series[q].values
 
 
 class TestEigenOracle:
@@ -151,6 +159,18 @@ class TestDecompose:
             G = build_group(kind)
             for row in multiplicity_series(G, 128):
                 assert min(row) >= 0
+
+    def test_mckay_columns_are_sparse_and_conserve_dimension(self):
+        # chi_V * chi_j has degree 2 d_j.  Its constituents are the
+        # neighbours of j on the affine ADE McKay graph, at most 4 (the
+        # centre of affine D4, BD:2), and 2 for the cyclic embeddings.
+        for kind in PANEL + (BinaryDihedral(9), Cyclic(60, 7)):
+            G = build_group(kind)
+            degrees = character_table(G).degrees
+            for j, column in enumerate(_tensor_matrix(G)):
+                assert all(t > 0 for _, t in column)
+                assert sum(t * degrees[i] for i, t in column) == 2 * degrees[j]
+                assert len(column) <= (2 if kind.family == "cyclic" else 4)
 
     def test_inner_product_is_symmetric_for_real_multiplicities(self):
         G = build_group(BinaryIcosahedral)

@@ -304,9 +304,6 @@ class CycloElement:
                 total += v * cmath.exp(2j * cmath.pi * j / m)
         return total / self.den
 
-    def sort_key(self):
-        return self.coeffs
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ctx(self, other: "CycloElement") -> None:

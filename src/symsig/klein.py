@@ -20,17 +20,26 @@ SL(2) subgroups; their invariant rings are the classical D and E hypersurfaces
     binary octahedral      (order 48)  : x^3 y + y^3 + z^2
     binary icosahedral     (order 120) : x^5 + y^3 + z^2
 
+Enumeration is the only matrix arithmetic: a breadth-first closure, one
+product per element and generator, which records every element as a word in
+the generators.  Products, inverses, conjugacy classes and cyclic subgroups
+are then worked out on element indices.
+
 Character tables are computed, never transcribed.  Cyclic tables come from
 the explicit weight characters; the non-abelian families run a tensor-peeling
 loop seeded with the fundamental character and with characters induced from
 the cyclic subgroups generated by class representatives (plain tensor-peeling
 alone stalls on clumped remainders, e.g. the three linear characters of the
-quaternion group arrive as one norm-3 remainder).  Every table is validated
-against both orthogonality relations before it is returned.
+quaternion group arrive as one norm-3 remainder).  The induction seeds are
+drawn lazily, class by class, in a fixed order: discovery usually ends long
+before the last of them would be read, and those are never built.  Every
+table is validated against both orthogonality relations before it is
+returned.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -144,10 +153,6 @@ class Matrix2:
     def trace(self) -> CycloElement:
         return self.a + self.d
 
-    def adjugate(self) -> "Matrix2":
-        """The inverse, provided det = 1 (true in the SL(2) families)."""
-        return Matrix2(self.d, -self.b, -self.c, self.a)
-
     @property
     def is_diagonal(self) -> bool:
         return self.b.is_zero and self.c.is_zero
@@ -239,20 +244,29 @@ class KleinGroup:
     Built only through :func:`build_group`.  All fields are set once during
     construction and never mutated afterwards (the cached character table is
     attached lazily but is itself immutable).
+
+    Elements are addressed by index.  ``parent[x]`` is (p, k) with
+    elements[x] = elements[p] * generator k (None for the identity), and
+    ``right[k][x]`` is the index of elements[x] * generator k.  Together they
+    spell every element as a word in the generators, so products, inverses
+    and conjugates are list lookups (:meth:`mul`), not matrix products.
     """
 
-    def __init__(self, kind, ctx, elements, index, element_orders,
-                 classes, class_eigen, conj_rows, in_sl2):
+    def __init__(self, kind, ctx, elements, index, parent, right, inverse,
+                 element_orders, classes, class_of, class_eigen, in_sl2):
         self.kind = kind
         self.ctx = ctx
         self.m = ctx.m
         self.elements = elements            # tuple[Matrix2], identity first
         self.index = index                  # matrix key -> element index
+        self.parent = parent                # index -> (parent index, generator) or None
+        self.right = right                  # generator -> tuple over x of index(x * gen)
+        self.inverse = inverse              # index -> index of the inverse
         self.order = len(elements)
         self.element_orders = element_orders
         self.classes = classes              # tuple[ConjugacyClass]
+        self.class_of = class_of            # index -> class index
         self.class_eigen = class_eigen      # class index -> (e1, e2): eigenvalues zeta^e1, zeta^e2
-        self.conj_rows = conj_rows          # class index -> tuple over g of index(g * rep * g^-1)
         self.in_sl2 = in_sl2
         self._fundamental = None
         self._table = None
@@ -260,6 +274,10 @@ class KleinGroup:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+    def mul(self, h: int, x: int) -> int:
+        """Index of elements[h] * elements[x]."""
+        return _word_mul(self.parent, self.right, h, x)
 
     def class_order(self, c: int) -> int:
         """Order of the elements in class c."""
@@ -275,9 +293,25 @@ class KleinGroup:
         return f"KleinGroup({self.kind}, order={self.order}, m={self.m})"
 
 
+def _word_mul(parent, right, h: int, x: int) -> int:
+    """Index of h * x: apply the generators of x's BFS word to h, first to last."""
+    word = []
+    while x:
+        x, k = parent[x]
+        word.append(k)
+    for k in reversed(word):
+        h = right[k][h]
+    return h
+
+
 @lru_cache(maxsize=None)
 def build_group(kind: GroupKind) -> KleinGroup:
-    """Enumerate the group and its conjugacy classes; hard-validate everything."""
+    """Enumerate the group and its conjugacy classes; hard-validate everything.
+
+    The breadth-first closure is the only place that multiplies matrices (one
+    product per element and generator); inverses and conjugacy classes are
+    then worked out on element indices.
+    """
     validate_kind(kind)
     target = expected_order(kind)
     ctx = get_context(kind_conductor(kind))
@@ -289,29 +323,35 @@ def build_group(kind: GroupKind) -> KleinGroup:
             if g.det() != ctx.one:
                 raise ConsistencyError(f"generator of {kind} has determinant != 1")
 
-    # Breadth-first closure under right multiplication by the generators.
+    # Breadth-first closure under right multiplication by the generators,
+    # recording each element's BFS parent and each generator's
+    # right-multiplication permutation.  Elements are visited in the order
+    # they are found, so ``elements`` doubles as the queue.
     identity = Matrix2.identity(ctx)
     elements = [identity]
     index = {identity.key(): 0}
-    queue = deque([identity])
+    parent = [None]
+    right = [[] for _ in gens]
     bound = 2 * target
-    while queue:
-        x = queue.popleft()
-        for g in gens:
+    for i, x in enumerate(elements):
+        for k, g in enumerate(gens):
             y = x * g
-            k = y.key()
-            if k not in index:
+            key = y.key()
+            j = index.get(key)
+            if j is None:
                 if len(elements) >= bound:
                     raise ConsistencyError(
                         f"closure of {kind} exceeded {bound} elements; corrupted generators"
                     )
-                index[k] = len(elements)
+                j = index[key] = len(elements)
                 elements.append(y)
-                queue.append(y)
+                parent.append((i, k))
+            right[k].append(j)
     if len(elements) != target:
         raise ConsistencyError(
             f"{kind} enumerated {len(elements)} elements, expected {target}"
         )
+    right = tuple(map(tuple, right))
 
     # Eigenvalue exponents per element come from the diagonal (cyclic case)
     # or from the trace via exhaustive search over roots of unity (SL(2) case,
@@ -356,36 +396,56 @@ def build_group(kind: GroupKind) -> KleinGroup:
             f"element orders give lcm={math.lcm(*element_orders)}"
         )
 
+    # Inverses from the words: x = p * g gives x^-1 = g^-1 * p^-1, and g^-1 is
+    # the power of g that g maps to the identity.
+    gen_inverse = []
+    for r in right:
+        y = 0
+        while r[y] != 0:
+            y = r[y]
+        gen_inverse.append(y)
+    inverse = [0] * target
+    for x in range(1, target):
+        p, k = parent[x]
+        inverse[x] = _word_mul(parent, right, gen_inverse[k], inverse[p])
+
     # Conjugacy classes: orbits of conjugation, identity class first, then by
-    # minimal unplaced element index.  Abelian groups skip the matrix work.
+    # minimal unplaced element index.  The generators generate the group, so
+    # an orbit under the maps x -> g^-1 * x * g, one per generator g, is a
+    # whole class; g^-1 * x = (x^-1 * g)^-1 makes each map four lookups.
+    # Abelian groups skip the orbit search.
     classes: list[ConjugacyClass] = []
-    class_of = [-1] * target
     class_eigen: list[tuple[int, int]] = []
-    conj_rows: list[tuple[int, ...]] = []
     if kind.family == "cyclic":
+        class_of = list(range(target))
         for i, el in enumerate(elements):
             classes.append(ConjugacyClass(rep=i, members=(i,), size=1))
-            class_of[i] = i
             class_eigen.append(eigen_exponents(el))
-            conj_rows.append((i,) * target)
     else:
-        inverses = [el.adjugate() for el in elements]
+        class_of = [-1] * target
+        conjugators = [
+            tuple(r[inverse[r[inverse[x]]]] for x in range(target)) for r in right
+        ]
         for i in range(target):
             if class_of[i] != -1:
                 continue
-            rep = elements[i]
-            row = []
-            for g, ginv in zip(elements, inverses):
-                row.append(index[(g * rep * ginv).key()])
-            members = tuple(sorted(set(row)))
+            orbit = {i}
+            frontier = [i]
+            while frontier:
+                x = frontier.pop()
+                for conj in conjugators:
+                    y = conj[x]
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            members = tuple(sorted(orbit))
             ci = len(classes)
             for j in members:
                 if class_of[j] not in (-1, ci):
                     raise ConsistencyError("conjugacy orbits are not a partition")
                 class_of[j] = ci
             classes.append(ConjugacyClass(rep=i, members=members, size=len(members)))
-            class_eigen.append(eigen_exponents(rep))
-            conj_rows.append(tuple(row))
+            class_eigen.append(eigen_exponents(elements[i]))
         if sum(c.size for c in classes) != target:
             raise ConsistencyError("conjugacy classes do not partition the group")
     if classes[0].size != 1 or classes[0].rep != 0:
@@ -396,10 +456,13 @@ def build_group(kind: GroupKind) -> KleinGroup:
         ctx=ctx,
         elements=tuple(elements),
         index=index,
+        parent=tuple(parent),
+        right=right,
+        inverse=tuple(inverse),
         element_orders=tuple(element_orders),
         classes=tuple(classes),
+        class_of=tuple(class_of),
         class_eigen=tuple(class_eigen),
-        conj_rows=tuple(conj_rows),
         in_sl2=in_sl2,
     )
 
@@ -442,11 +505,40 @@ class Character:
     def __hash__(self):
         return hash((id(self.group), self.values))
 
-    def sort_key(self):
-        return tuple(v.sort_key() for v in self.values)
+    def sort_key(self) -> "_TableOrder":
+        """Table order: degree, then the values class by class, each by its
+        power-basis coefficients."""
+        return _TableOrder(self.degree, self.values)
 
     def __repr__(self):
         return f"Character({self.group.kind}, deg={self.values[0]})"
+
+
+class _TableOrder:
+    """Sort key for :meth:`Character.sort_key`.
+
+    Compares exactly, with no Fractions built: coefficient j of two values
+    x = num_x / den_x and y = num_y / den_y compare as num_x[j] * den_y
+    against num_y[j] * den_x (denominators are positive), and the comparison
+    stops at the first difference.
+    """
+
+    __slots__ = ("degree", "values")
+
+    def __init__(self, degree: int, values):
+        self.degree = degree
+        self.values = values
+
+    def __lt__(self, other: "_TableOrder") -> bool:
+        if self.degree != other.degree:
+            return self.degree < other.degree
+        for x, y in zip(self.values, other.values):
+            if x.num == y.num and x.den == y.den:
+                continue
+            for a, b in zip(x.num, y.num):
+                if a * y.den != b * x.den:
+                    return a * y.den < b * x.den
+        return False
 
 
 def fundamental_character(G: KleinGroup) -> Character:
@@ -605,8 +697,29 @@ def _cyclic_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     ]
 
 
-def _induced_from_cyclic(G: KleinGroup, c: int) -> list[tuple[CycloElement, ...]]:
-    """Characters induced from all linear characters of <rep of class c>.
+def _subgroup_hits(G: KleinGroup, c: int) -> list[list[int]]:
+    """hits[c'][s] = #{g in G : g * rep_c' * g^-1 = rep_c^s} for s < order(rep_c).
+
+    By orbit-stabiliser this is |G| / |class c'| if rep_c^s lies in class c',
+    and 0 otherwise; the powers of rep_c are taken by index.
+    """
+    rep = G.classes[c].rep
+    d = G.element_orders[rep]
+    hits = [[0] * d for _ in G.classes]
+    powers = set()
+    power = 0
+    for s in range(d):
+        powers.add(power)
+        cp = G.class_of[power]
+        hits[cp][s] = G.order // G.classes[cp].size
+        power = G.mul(power, rep)
+    if len(powers) != d:
+        raise ConsistencyError("cyclic subgroup enumeration is inconsistent")
+    return hits
+
+
+def _induced_from_cyclic(G: KleinGroup, c: int):
+    """Characters induced from the linear characters of <rep of class c>, one per draw.
 
     Frobenius reciprocity makes this pool rich enough to separate every
     irreducible: the restriction of any irreducible to a cyclic subgroup
@@ -614,29 +727,10 @@ def _induced_from_cyclic(G: KleinGroup, c: int) -> list[tuple[CycloElement, ...]
     corresponding induced character.
     """
     ctx = G.ctx
-    rep = G.elements[G.classes[c].rep]
-    d = G.element_orders[G.classes[c].rep]
-    # enumerate the subgroup <rep> with exponents
-    power = Matrix2.identity(ctx)
-    exponent_of = {}
-    for s in range(d):
-        exponent_of[G.index[power.key()]] = s
-        power = power * rep
-    if len(exponent_of) != d:
-        raise ConsistencyError("cyclic subgroup enumeration is inconsistent")
-    # For each class c', count how often a conjugate of its representative
-    # lands on each subgroup exponent.
-    hit_counts = []
-    for cp in range(G.num_classes):
-        counts = [0] * d
-        for target in G.conj_rows[cp]:
-            s = exponent_of.get(target)
-            if s is not None:
-                counts[s] += 1
-        hit_counts.append(counts)
+    hit_counts = _subgroup_hits(G, c)
+    d = len(hit_counts[0])
     m = G.m
     step = m // d
-    out = []
     for t in range(d):
         values = []
         for hits in hit_counts:
@@ -645,8 +739,33 @@ def _induced_from_cyclic(G: KleinGroup, c: int) -> list[tuple[CycloElement, ...]
                 if cnt:
                     counts[(step * t * s) % m] += cnt
             values.append(ctx.from_counts(counts, d))
-        out.append(tuple(values))
-    return out
+        yield tuple(values)
+
+
+class _SeedQueue:
+    """Discovery's work queue: fund, then the characters induced from each
+    class in turn, each built only when drawn; then the vectors appended
+    while discovery runs."""
+
+    __slots__ = ("_seeds", "_left", "_tail")
+
+    def __init__(self, G: KleinGroup, fund):
+        r = G.num_classes
+        self._seeds = itertools.chain([fund], *(_induced_from_cyclic(G, c) for c in range(r)))
+        self._left = 1 + sum(G.class_order(c) for c in range(r))
+        self._tail = deque()
+
+    def __bool__(self) -> bool:
+        return self._left > 0 or bool(self._tail)
+
+    def append(self, vec) -> None:
+        self._tail.append(vec)
+
+    def popleft(self):
+        if self._left:
+            self._left -= 1
+            return next(self._seeds)
+        return self._tail.popleft()
 
 
 def _peel(packing: _Packing, vec, found):
@@ -681,9 +800,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     conj_trivial, = packing.pack(_conj(trivial))
     found = [(trivial, conj_trivial)]
     residuals: list[tuple[CycloElement, ...]] = []
-    queue = deque([fund])
-    for c in range(r):
-        queue.extend(_induced_from_cyclic(G, c))
+    queue = _SeedQueue(G, fund)
     budget = 60 * r * r
 
     def try_register(vec, packed) -> bool:
@@ -784,7 +901,7 @@ def character_table(G: KleinGroup) -> CharacterTable:
         raise ConsistencyError("expected exactly one trivial character")
     rest = sorted(
         (chi for chi in chars if chi.values != trivial),
-        key=lambda chi: (chi.degree, chi.sort_key()),
+        key=Character.sort_key,
     )
     table = CharacterTable(G, head + rest)
     table.validate()

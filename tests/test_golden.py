@@ -1,7 +1,9 @@
 """Golden CLI corpus: stdout of fixed commands, pinned by its sha256.
 
-The hashes were captured before the packed inner-product kernel replaced
-the per-term field arithmetic; any change to a printed byte fails here.
+The ``SHA256`` hashes were captured before the packed inner-product kernel
+replaced the per-term field arithmetic.  The ``SINGLE`` hashes (the elliptic
+reports and ``table BT --selfcheck``) were captured before the group layer
+moved to integer element indices.  Any change to a printed byte fails here.
 """
 
 import contextlib
@@ -98,14 +100,50 @@ SHA256 = {
     ),
 }
 
+# Commands without a group argument, one hash per format.
+SINGLE = {
+    "elliptic sym 0..64": (
+        "d21b65c6a57dd340dc557d99d6d5d53684bb2e26250e12c83fa45b43c7172b22",
+        "ab4bba16d4c0fc62fc72c971266d6427929e7fe9d952a94849329fd2715ae0b4",
+        "3c713636d5ea92af12c26b920ab51807be7e3beefcbbfd96799f54cdb074a168",
+    ),
+    "elliptic dsigma": (
+        "75485829bd422220b3e6d00a063a48aa7618568e2d0703c5340b9e460f61abb2",
+        "25cc204e373ebd4e3bdca7caf85aad71fedbccdca7c324ed79bd4f044c76d4a6",
+        "a576f919f764483da7c574584d1b6b9631c0dfe17b4219b7c2e734f7e6692324",
+    ),
+    "elliptic bound": (
+        "829dc5b5e9a04820bdc044bf4412835aad275b319e454e0055618eba655ae4c4",
+        "c1e32719b167c8e6b0ac53ed30715bbe55a50a8254a35e6c24da8453926441b9",
+        "69331f1b30fcead32702406c563dd5ac47ef1f793a0ad39a00cd86a16f5fc268",
+    ),
+    "table BT --selfcheck": (
+        "2ca4506ab0a417b0d983a09250729c39a3d8499625305fc9e8b2cf575eed0c04",
+        "859040e360414e984b44aab0ee873c74e75a96dc7dca033f2769f2263dd37a71",
+        "5ecf21798dbd1010c1f6c19c04c23b01ce279f9d6836b1f40325886d6d2cf838",
+    ),
+}
+
+
+def _stdout_sha256(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("group", GROUPS)
 def test_stdout_hash(group, command, fmt):
     argv = [arg.format(g=group) for arg in COMMANDS[command]] + ["--format", fmt]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    digest = _stdout_sha256(argv)
     assert digest == SHA256[command, group][FORMATS.index(fmt)], " ".join(argv)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("command", SINGLE)
+def test_single_command_stdout_hash(command, fmt):
+    argv = command.split() + ["--format", fmt]
+    digest = _stdout_sha256(argv)
+    assert digest == SINGLE[command][FORMATS.index(fmt)], " ".join(argv)

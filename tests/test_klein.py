@@ -1,9 +1,11 @@
 """Group construction, conjugacy classes, and character-table discovery."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from symsig import klein
 from symsig.cyclotomic import ConsistencyError
 from symsig.klein import (
     BinaryDihedral,
@@ -13,11 +15,13 @@ from symsig.klein import (
     Character,
     CharacterTable,
     Cyclic,
+    Matrix2,
     build_group,
     character_table,
     cyclic_weight_indices,
     fundamental_character,
     inner_product,
+    _subgroup_hits,
     _values_inner,
 )
 
@@ -146,6 +150,115 @@ class TestConjugacyClasses:
         for kind in ALL_KINDS:
             G = build_group(kind)
             assert all(G.order % cls.size == 0 for cls in G.classes)
+
+
+INDEX_KINDS = (
+    [BinaryDihedral(n) for n in range(2, 13)]
+    + [BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral, Cyclic(7, 3)]
+)
+
+
+def _matrix_inverses(G):
+    """elements[inverse[g]] for every g, each checked by a Matrix2 product."""
+    identity = G.elements[0].key()
+    out = []
+    for g, inv in zip(G.elements, G.inverse):
+        ginv = G.elements[inv]
+        assert (g * ginv).key() == identity and (ginv * g).key() == identity
+        out.append(ginv)
+    return out
+
+
+def _conjugation_rows(G):
+    """Row c lists the index of g * rep_c * g^-1 over all g, by Matrix2 products."""
+    inverses = _matrix_inverses(G)
+    return [
+        [G.index[(g * G.elements[cls.rep] * ginv).key()] for g, ginv in zip(G.elements, inverses)]
+        for cls in G.classes
+    ]
+
+
+class TestIndexLayer:
+    """Index lookups against the matrix products they stand in for."""
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS, ids=str)
+    def test_products_inverses_and_conjugates_match_matrices(self, kind):
+        G = build_group(kind)
+        _matrix_inverses(G)
+        rng = random.Random(5)
+        for _ in range(60):
+            g, x = rng.randrange(G.order), rng.randrange(G.order)
+            gm, xm, ginv = G.elements[g], G.elements[x], G.elements[G.inverse[g]]
+            assert G.mul(g, x) == G.index[(gm * xm).key()]
+            conj = G.mul(G.mul(g, x), G.inverse[g])
+            assert conj == G.index[(gm * xm * ginv).key()]
+            assert G.class_of[conj] == G.class_of[x]
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS, ids=str)
+    def test_class_of_matches_the_literal_classes(self, kind):
+        G = build_group(kind)
+        assert len(G.class_of) == G.order
+        for c, (cls, row) in enumerate(zip(G.classes, _conjugation_rows(G))):
+            assert cls.members == tuple(sorted(set(row)))
+            assert cls.members == tuple(i for i in range(G.order) if G.class_of[i] == c)
+
+    @pytest.mark.parametrize("kind", INDEX_KINDS, ids=str)
+    def test_orbit_stabiliser_hits_match_the_literal_count(self, kind):
+        G = build_group(kind)
+        rows = _conjugation_rows(G)
+        for c, cls in enumerate(G.classes):
+            rep = G.elements[cls.rep]
+            power = G.elements[0]
+            exponent_of = {}
+            for s in range(G.element_orders[cls.rep]):
+                exponent_of[G.index[power.key()]] = s
+                power = power * rep
+            literal = []
+            for row in rows:
+                counts = [0] * len(exponent_of)
+                for target in row:
+                    if target in exponent_of:
+                        counts[exponent_of[target]] += 1
+                literal.append(counts)
+            assert _subgroup_hits(G, c) == literal
+
+
+class TestOperationCounts:
+    @pytest.mark.parametrize("kind", [BinaryIcosahedral, BinaryDihedral(12)], ids=str)
+    def test_matrix_products_only_in_the_closure(self, kind, monkeypatch):
+        calls = 0
+        product = Matrix2.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return product(self, other)
+
+        monkeypatch.setattr(Matrix2, "__mul__", counted)
+        G = build_group.__wrapped__(kind)  # a cold build, past the cache
+        # one product per element and generator; the generator and element
+        # checks use determinants and traces, not products
+        assert calls <= len(G.right) * G.order
+        calls = 0
+        character_table(G)
+        assert calls == 0
+
+    def test_discovery_builds_only_the_seeds_it_reads(self, monkeypatch):
+        built = 0
+        induce = klein._induced_from_cyclic
+
+        def counted(G, c):
+            nonlocal built
+            for vec in induce(G, c):
+                built += 1
+                yield vec
+
+        monkeypatch.setattr(klein, "_induced_from_cyclic", counted)
+        G = build_group.__wrapped__(BinaryDihedral(12))
+        character_table(G)
+        # 160 seeds in all (one per linear character of each class's
+        # cyclic subgroup); discovery is done after reading 28 of them
+        assert 0 < built < sum(G.class_order(c) for c in range(G.num_classes))
 
 
 class TestFundamentalCharacter:

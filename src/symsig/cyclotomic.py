@@ -17,6 +17,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 class ConsistencyError(Exception):
@@ -108,7 +109,7 @@ class CycloContext:
     refuse to mix rather than silently coercing.
     """
 
-    __slots__ = ("m", "degree", "poly", "_red", "_zeta_num", "zero", "one")
+    __slots__ = ("m", "degree", "poly", "_red", "headroom", "_moduli", "_zeta_num", "zero", "one")
 
     def __init__(self, m: int):
         if m < 1:
@@ -134,6 +135,11 @@ class CycloContext:
         # _red[k] = x^(d+k) reduced mod Phi_m, for k in [0, d-1); products of
         # reduced elements never need more.
         self._red = [pows[(d + k) % m] for k in range(d - 1)]
+        # Bits a packed sum needs above its unreduced coefficients: reducing grows
+        # one at most 1 + max column sum of |_red| times, which is >= max|Phi_m coeff|.
+        columns = [sum(map(abs, col)) for col in zip(*self._red)]
+        self.headroom = (1 + max(columns, default=0)).bit_length() + 2
+        self._moduli = {}  # width -> Phi_m(2^width)
         self.zero = CycloElement(self, (0,) * d, 1)
         self.one = CycloElement(self, pows[0], 1)
 
@@ -180,9 +186,10 @@ class CycloContext:
         """Kronecker substitution: each element as one int over a common denominator.
 
         Returns (ints, den) with element k equal to (sum_j a_kj z^j) / den and
-        ints[k] = sum_j a_kj * 2^(j*width): the signed power-basis numerators
-        sit in slots of ``width`` bits.  Products of packed ints are products
-        of the polynomials in z, not yet reduced mod Phi_m.
+        ints[k] = sum_j a_kj * 2^(j*width), the polynomial's value at 2^width:
+        the signed power-basis numerators sit in slots of ``width`` bits.
+        Products of packed ints are products of the polynomials in z, not yet
+        reduced mod Phi_m (``packed_sum`` states the width their sums need).
         """
         den = math.lcm(*(e.den for e in elements))
         ints = []
@@ -195,36 +202,27 @@ class CycloContext:
         return ints, den
 
     def packed_sum(self, weights, xs, ys, den: int, width: int) -> Fraction | None:
-        """sum_k weights[k] * x_k * y_k over packed xs and ys (see ``pack``).
+        """(sum_k weights[k] * x_k * y_k) / den over packed xs and ys (see ``pack``).
 
-        The products are summed as big ints, the 2*phi(m) - 1 signed slots
-        decoded and reduced mod Phi_m once.  ``den`` is the product of the two
-        sides' denominators.  The slots must hold the sum: a width of
-        bits(max|x|) + bits(max|y|) + bits(sum|w| * phi(m)) + 2 does.
-        Returns the sum, or None if it is not rational.
+        ``weights`` is None when they are folded into xs.  The big-int sum is
+        S(B), B = 2^width, for the unreduced sum S(z); evaluation at B maps
+        Z[z]/Phi_m into Z/Phi_m(B).  If every coefficient of S is below
+        2^(width - headroom) in absolute value, those of R = S mod Phi_m are
+        below B/4 and B > 2 * max|Phi_m coeff| + 2, so the signed residue of
+        S(B) mod Phi_m(B) is R(B), and R is rational iff it is below B/4 (a
+        non-constant R lies 3B/4 or more from 0, so a constant overrunning B/4
+        by less than B/2 cannot pass either).  Returns the sum, or None.
         """
-        total = sum(w * x * y for w, x, y in zip(weights, xs, ys))
-        d = self.degree
-        mask = (1 << width) - 1
-        half = 1 << (width - 1)
-        slots = []
-        for _ in range(2 * d - 1):
-            s = total & mask
-            if s >= half:
-                s -= mask + 1
-            slots.append(s)
-            total = (total - s) >> width
-        if total:
+        if weights is not None:
+            xs = map(mul, weights, xs)
+        total = sum(map(mul, xs, ys))
+        if total.bit_length() > (2 * self.degree - 1) * width - self.headroom + 1:
             raise ConsistencyError(f"packed sum overflows its {width}-bit slots")
-        acc = slots[:d]
-        for s, red in zip(slots[d:], self._red):
-            if s:
-                for j, rj in enumerate(red):
-                    if rj:
-                        acc[j] += s * rj
-        if any(acc[1:]):
-            return None
-        return Fraction(acc[0], den)
+        modulus = self._moduli.get(width)
+        if modulus is None:
+            modulus = self._moduli[width] = sum(c << j * width for j, c in enumerate(self.poly))
+        r = (total + (modulus >> 1)) % modulus - (modulus >> 1)
+        return None if abs(r) >> (width - 2) else Fraction(r, den)
 
     def __repr__(self) -> str:
         return f"CycloContext(m={self.m})"

@@ -556,23 +556,25 @@ def _conj(values) -> tuple[CycloElement, ...]:
 
 
 class _Packed:
-    """One vector of field elements, packed by CycloContext.pack at some width."""
+    """One vector of field elements, packed at some width (``weighted``: see _Packing)."""
 
-    __slots__ = ("values", "ints", "den", "width")
+    __slots__ = ("values", "weighted", "ints", "den", "width")
 
-    def __init__(self, values):
+    def __init__(self, values, weighted: bool):
         self.values = values
+        self.weighted = weighted
         self.width = None
 
 
 class _Packing:
-    """Packs class functions of G at one slot width, for exact inner products.
+    """Packs class functions of G at one slot width for exact inner products
+    (1/|G|) sum_c w_c x_c y_c: w_c is the class size, folded into x when it is
+    packed ``weighted`` (the conjugated side of <phi, psi>), and 1 otherwise.
 
-    Each vector is packed once and reused for every inner product it enters.
-    The width, 2 * bits + bits(|G| * phi(m)) + 2, holds every slot of
-    sum_c w_c * x_c * y_c for any two packed vectors and weights with
-    sum |w_c| <= |G|; ``bits`` is the widest numerator packed so far.  A wider
-    vector raises the width, and vectors packed before are repacked on use.
+    The width, 2 * bits + bits(|G| * phi(m)) + 2 + headroom, keeps every
+    unreduced coefficient below 2^(width - headroom), as packed_sum needs;
+    ``bits`` is the widest numerator packed so far.  A wider vector raises the
+    width, and vectors packed before are repacked on use.
     """
 
     __slots__ = ("G", "sizes", "bits", "width")
@@ -581,37 +583,36 @@ class _Packing:
         self.G = G
         self.sizes = tuple(cls.size for cls in G.classes)
         self.bits = 0
-        self.width = (G.order * G.ctx.degree).bit_length() + 2
+        self.width = (G.order * G.ctx.degree).bit_length() + 2 + G.ctx.headroom
 
-    def pack(self, *vectors) -> list[_Packed]:
+    def pack(self, *vectors, weighted: bool = False) -> list[_Packed]:
         bits = max(map(numerator_bits, vectors))
         if bits > self.bits:
             self.width += 2 * (bits - self.bits)
             self.bits = bits
-        return [_Packed(v) for v in vectors]
-
-    def sum(self, weights, x: _Packed, y: _Packed) -> Fraction | None:
-        """sum_k weights[k] * x_k * y_k, or None if it is not rational."""
-        for p in (x, y):
-            if p.width != self.width:
-                p.ints, p.den = self.G.ctx.pack(p.values, self.width)
-                p.width = self.width
-        return self.G.ctx.packed_sum(weights, x.ints, y.ints, x.den * y.den, self.width)
+        return [_Packed(v, weighted) for v in vectors]
 
     def inner(self, x: _Packed, y: _Packed) -> Fraction:
-        """<phi, psi> for x packed from conj(phi) and y packed from psi."""
-        r = self.sum(self.sizes, x, y)
+        """<phi, psi> for x packed weighted from conj(phi) and y packed from psi."""
+        ctx = self.G.ctx
+        for p in (x, y):
+            if p.width != self.width:
+                p.ints, p.den = ctx.pack(p.values, self.width)
+                if p.weighted:
+                    p.ints = [w * v for w, v in zip(self.sizes, p.ints)]
+                p.width = self.width
+        r = ctx.packed_sum(None, x.ints, y.ints, x.den * y.den * self.G.order, self.width)
         if r is None:
             raise ConsistencyError(
                 "inner product of class functions is not rational; inputs are not characters"
             )
-        return r / self.G.order
+        return r
 
 
 def _values_inner(G: KleinGroup, phi, psi) -> Fraction:
     """<phi, psi> = (1/|G|) sum over classes of size * conj(phi) * psi."""
     packing = _Packing(G)
-    return packing.inner(*packing.pack(_conj(phi), psi))
+    return packing.inner(*packing.pack(_conj(phi), weighted=True), *packing.pack(psi))
 
 
 def inner_product(phi: Character, psi: Character) -> Fraction:
@@ -621,13 +622,14 @@ def inner_product(phi: Character, psi: Character) -> Fraction:
 
 
 class CharacterTable:
-    """The complete list of irreducible characters, trivial first."""
+    """The complete list of irreducible characters, trivial first, with their conjugates."""
 
-    __slots__ = ("group", "irreducibles")
+    __slots__ = ("group", "irreducibles", "conj_rows")
 
     def __init__(self, group: KleinGroup, irreducibles):
         self.group = group
         self.irreducibles = tuple(irreducibles)
+        self.conj_rows = tuple(_conj(chi.values) for chi in self.irreducibles)
 
     def __len__(self):
         return len(self.irreducibles)
@@ -653,30 +655,25 @@ class CharacterTable:
         if sum(d * d for d in self.degrees) != G.order:
             raise ConsistencyError("sum of squared degrees differs from |G|")
         rows = [chi.values for chi in self.irreducibles]
-        conj_rows = [_conj(row) for row in rows]
         packing = _Packing(G)
-        packed = packing.pack(*conj_rows, *rows)
+        conj = packing.pack(*self.conj_rows, weighted=True)
+        plain = packing.pack(*rows)
         for i in range(r):
             for j in range(i, r):
-                got = packing.inner(packed[i], packed[r + j])
+                got = packing.inner(conj[i], plain[j])
                 want = 1 if i == j else 0
                 if got != want:
-                    raise ConsistencyError(
-                        f"<chi_{i}, chi_{j}> = {got}, expected {want}"
-                    )
-        # Column (second) orthogonality: sum_i conj(chi_i(c)) chi_i(c') is
-        # |G|/size(c) on the diagonal and 0 off it.
-        ones = (1,) * r
-        packing = _Packing(G)
-        packed = packing.pack(*zip(*conj_rows), *zip(*rows))
+                    raise ConsistencyError(f"<chi_{i}, chi_{j}> = {got}, expected {want}")
+        # Column (second) orthogonality, packed unweighted: sum_i conj(chi_i(c))
+        # chi_i(c') is |G|/size(c) on the diagonal and 0 off it.
+        conj = packing.pack(*zip(*self.conj_rows))
+        plain = packing.pack(*zip(*rows))
         for c in range(r):
             for cp in range(c, r):
-                acc = packing.sum(ones, packed[c], packed[r + cp])
-                want = Fraction(G.order, G.classes[c].size) if c == cp else 0
-                if acc != want:
-                    raise ConsistencyError(
-                        f"column orthogonality fails at classes ({c}, {cp})"
-                    )
+                got = packing.inner(conj[c], plain[cp])
+                want = Fraction(1, G.classes[c].size) if c == cp else 0
+                if got != want:
+                    raise ConsistencyError(f"column orthogonality fails at classes ({c}, {cp})")
         # The table separates classes: no two identical columns.
         cols = {tuple(chi.values[c] for chi in self.irreducibles) for c in range(r)}
         if len(cols) != r:
@@ -769,26 +766,36 @@ class _SeedQueue:
 
 
 def _peel(packing: _Packing, vec, found):
-    """Subtract integer multiples of the found irreducibles from vec.
+    """Subtract from vec each found irreducible, times its multiplicity in vec.
 
-    found holds (values, packed conjugate values) pairs.  <vec, chi> is
-    rational, so it equals <chi, vec>, whose conjugated side is chi.
-    Returns the remainder and its packing.
+    found holds (values, packed conjugate values) pairs of orthonormal
+    irreducibles, so each multiplicity <vec, chi> = <chi, vec> (rational) is
+    read off vec itself; the subtraction runs on integer numerators over a
+    common denominator per class.  Returns the remainder and its packing.
     """
-    out, = packing.pack(vec)
+    packed, = packing.pack(vec)
+    terms = []
     for chi, conj_chi in found:
-        coeff = packing.inner(conj_chi, out)
+        coeff = packing.inner(conj_chi, packed)
         if coeff.denominator != 1:
-            raise ConsistencyError(
-                f"non-integer multiplicity {coeff} while peeling a character"
-            )
+            raise ConsistencyError(f"non-integer multiplicity {coeff} while peeling a character")
         if coeff < 0:
             raise ConsistencyError(
                 f"negative multiplicity {coeff} while peeling a genuine character"
             )
         if coeff:
-            out, = packing.pack(tuple(x - int(coeff) * y for x, y in zip(out.values, chi)))
-    return out.values, out
+            terms.append((int(coeff), chi))
+    if not terms:
+        return vec, packed
+    out = []
+    for c, x in enumerate(vec):
+        den = math.lcm(x.den, *(chi[c].den for _, chi in terms))
+        num = [a * (den // x.den) for a in x.num]
+        for k, chi in terms:
+            scale = k * (den // chi[c].den)
+            num = [a - scale * b for a, b in zip(num, chi[c].num)]
+        out.append(CycloElement._make(x.ctx, num, den))
+    return tuple(out), packing.pack(tuple(out))[0]
 
 
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
@@ -797,7 +804,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     fund = tuple(fundamental_character(G).values)
     packing = _Packing(G)
     trivial = _trivial_values(G)
-    conj_trivial, = packing.pack(_conj(trivial))
+    conj_trivial, = packing.pack(_conj(trivial), weighted=True)
     found = [(trivial, conj_trivial)]
     residuals: list[tuple[CycloElement, ...]] = []
     queue = _SeedQueue(G, fund)
@@ -805,7 +812,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
 
     def try_register(vec, packed) -> bool:
         """Register vec (packed is its packing) as an irreducible if it has norm 1."""
-        conj_vec, = packing.pack(_conj(vec))
+        conj_vec, = packing.pack(_conj(vec), weighted=True)
         if packing.inner(conj_vec, packed) != 1:
             return False
         deg = vec[0].to_rational()
@@ -832,12 +839,12 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
             else:
                 residuals.append(vec)
                 queue.append(tuple(x * y for x, y in zip(vec, fund)))
-        if len(found) == r:
-            break
         # Re-peel stashed remainders against the irreducibles found since;
         # any norm-1 remainder is an irreducible.
         kept = []
         for vec in residuals:
+            if len(found) == r:
+                break
             vec, packed = _peel(packing, vec, found)
             if all(v.is_zero for v in vec):
                 continue

@@ -37,7 +37,6 @@ from .klein import (
     KleinGroup,
     character_table,
     fundamental_character,
-    _conj,
     _Packing,
     _values_inner,
 )
@@ -209,18 +208,14 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
     """Sparse columns of T: column j lists (i, T[i][j]) for each T[i][j] != 0.
 
     T[i][j] is the multiplicity of chi_i in chi_V * chi_j (exact,
-    non-negative), computed as <chi_i, chi_V * chi_j>: the table rows are
-    the conjugated side, each conjugated and packed once.
+    non-negative), computed as <chi_i, chi_V * chi_j>: the table's conjugated
+    rows are the conjugated side, each packed once.
     """
     table = character_table(G)
     fund = fundamental_character(G).values
-    r = len(table)
     packing = _Packing(G)
-    packed = packing.pack(
-        *(_conj(chi.values) for chi in table),
-        *(tuple(x * y for x, y in zip(fund, chi.values)) for chi in table),
-    )
-    rows, prods = packed[:r], packed[r:]
+    rows = packing.pack(*table.conj_rows, weighted=True)
+    prods = packing.pack(*(tuple(x * y for x, y in zip(fund, chi.values)) for chi in table))
     columns = []
     for prod in prods:
         column = []

@@ -225,7 +225,7 @@ def packed_sum(ctx, weights, xs, ys):
     """The kernel, at the slot width its docstring prescribes."""
     width = (
         numerator_bits(xs) + numerator_bits(ys)
-        + (sum(map(abs, weights)) * ctx.degree).bit_length() + 2
+        + (sum(map(abs, weights)) * ctx.degree).bit_length() + ctx.headroom
     )
     px, dx = ctx.pack(xs, width)
     py, dy = ctx.pack(ys, width)
@@ -240,7 +240,7 @@ def plain_sum(ctx, weights, xs, ys):
     return acc
 
 
-@pytest.mark.parametrize("m", [7, 12, 60, 116])
+@pytest.mark.parametrize("m", [7, 12, 60, 116, 120])
 class TestPackedSum:
     def test_matches_field_arithmetic(self, m):
         ctx = get_context(m)
@@ -264,6 +264,34 @@ class TestPackedSum:
         ys = [ctx.zeta(-k) for k in range(m)]
         assert packed_sum(ctx, [2] * m, xs, ys) == 2 * m
         assert packed_sum(ctx, [1] * m, xs, [ctx.one] * m) == 0
+
+    def test_rational_sum_at_the_width_bound(self, m):
+        # Unreduced coefficients A = 2^k - 1, the most the width allows:
+        # A + A z^m (m odd) or A - A z^(m/2) (m even) reduces to 2A.
+        ctx = get_context(m)
+        d = ctx.degree
+        e, sign = (m // 2, -1) if m % 2 == 0 else (m, 1)
+        i = min(e, d - 1)
+        assert e - i < d
+        for k in (1, 7, 40):
+            a = 2 ** k - 1
+            width = k + ctx.headroom
+            px, dx = ctx.pack([ctx.rational(a), sign * a * ctx.zeta(i)], width)
+            py, dy = ctx.pack([ctx.one, ctx.zeta(e - i)], width)
+            assert ctx.packed_sum([1, 1], px, py, dx * dy, width) == 2 * a
+
+    def test_smallest_irrational_residues_are_refused(self, m):
+        # c +- z^j with c at the width bound, and with c overrunning B/4 by
+        # up to B/2, where the residue c -+ B lies within B/2 of 0.
+        ctx = get_context(m)
+        width = 24
+        bound = 2 ** (width - ctx.headroom) - 1
+        half = 2 ** (width - 1)
+        for j in (1, ctx.degree - 1):
+            for c, s in ((bound, 1), (-bound, -1), (half + 1, -1), (-half - 1, 1)):
+                px, dx = ctx.pack([ctx.rational(c), ctx.zeta(j)], width)
+                py, dy = ctx.pack([ctx.one, ctx.one], width)
+                assert ctx.packed_sum([1, s], px, py, dx * dy, width) is None
 
 
 def test_packed_sum_detects_overflowing_slots():

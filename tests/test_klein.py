@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symsig import klein
-from symsig.cyclotomic import ConsistencyError
+from symsig.cyclotomic import ConsistencyError, CycloElement
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -259,6 +259,46 @@ class TestOperationCounts:
         # 160 seeds in all (one per linear character of each class's
         # cyclic subgroup); discovery is done after reading 28 of them
         assert 0 < built < sum(G.class_order(c) for c in range(G.num_classes))
+
+    def test_peel_subtracts_without_field_arithmetic(self, monkeypatch):
+        calls = 0
+        inside = False
+        for name in ("__mul__", "__rmul__", "__sub__"):
+            op = getattr(CycloElement, name)
+
+            def counted(self, other, op=op):
+                nonlocal calls
+                calls += inside
+                return op(self, other)
+
+            monkeypatch.setattr(CycloElement, name, counted)
+        peel = klein._peel
+
+        def watched(*args):
+            nonlocal inside
+            inside = True
+            try:
+                return peel(*args)
+            finally:
+                inside = False
+
+        monkeypatch.setattr(klein, "_peel", watched)
+        character_table(build_group.__wrapped__(BinaryIcosahedral))
+        assert calls == 0
+
+    def test_discovery_stops_peeling_once_the_table_is_complete(self, monkeypatch):
+        peels = 0
+        peel = klein._peel
+
+        def counted(*args):
+            nonlocal peels
+            peels += 1
+            return peel(*args)
+
+        monkeypatch.setattr(klein, "_peel", counted)
+        character_table(build_group.__wrapped__(BinaryIcosahedral))
+        # 363 peels find the 9 irreducibles; none runs after the last
+        assert 0 < peels <= 363
 
 
 class TestFundamentalCharacter:

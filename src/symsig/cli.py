@@ -150,12 +150,19 @@ def cmd_table(args) -> Report:
         ("classes", str(G.num_classes)),
         ("values", "polynomials in z, z = primitive root of unity of order m"),
     ]
+    cells = {}  # (num, den) -> [str, decimal] of each distinct value rendered
+
+    def cell(v: CycloElement) -> list[str]:
+        key = (v.num, v.den)
+        got = cells.get(key)
+        if got is None:
+            got = cells[key] = [str(v), _cyclo_dec(v)]
+        return got
+
     classes = Section("classes", ["class", "size", "element_order", "trace", "trace_decimal"])
     for c, cls in enumerate(G.classes):
-        tr = G.class_trace(c)
-        classes.rows.append(
-            [f"c{c}", str(cls.size), str(G.class_order(c)), str(tr), _cyclo_dec(tr)]
-        )
+        row = [f"c{c}", str(cls.size), str(G.class_order(c))]
+        classes.rows.append(row + cell(G.class_trace(c)))
     rep.sections.append(classes)
 
     cols = ["character", "degree"]
@@ -165,7 +172,7 @@ def cmd_table(args) -> Report:
     for i, chi in enumerate(table):
         row = [f"chi{i}", str(chi.degree)]
         for v in chi.values:
-            row += [str(v), _cyclo_dec(v)]
+            row += cell(v)
         chars.rows.append(row)
     rep.sections.append(chars)
     return rep

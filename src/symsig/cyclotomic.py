@@ -182,24 +182,18 @@ class CycloContext:
                         acc[j] += c * pj
         return CycloElement._make(self, acc, den)
 
-    def pack(self, elements, width: int) -> tuple[list[int], int]:
-        """Kronecker substitution: each element as one int over a common denominator.
+    def pack(self, num, width: int) -> int:
+        """Kronecker substitution: the power-basis numerator vector num as one int.
 
-        Returns (ints, den) with element k equal to (sum_j a_kj z^j) / den and
-        ints[k] = sum_j a_kj * 2^(j*width), the polynomial's value at 2^width:
-        the signed power-basis numerators sit in slots of ``width`` bits.
+        The int is sum_j num[j] * 2^(j*width), the polynomial's value at
+        2^width: the signed numerators sit in slots of ``width`` bits.
         Products of packed ints are products of the polynomials in z, not yet
         reduced mod Phi_m (``packed_sum`` states the width their sums need).
         """
-        den = math.lcm(*(e.den for e in elements))
-        ints = []
-        for e in elements:
-            scale = den // e.den
-            v = 0
-            for a in reversed(e.num):
-                v = (v << width) + a * scale
-            ints.append(v)
-        return ints, den
+        v = 0
+        for a in reversed(num):
+            v = (v << width) + a
+        return v
 
     def packed_sum(self, weights, xs, ys, den: int, width: int) -> Fraction | None:
         """(sum_k weights[k] * x_k * y_k) / den over packed xs and ys (see ``pack``).
@@ -226,16 +220,6 @@ class CycloContext:
 
     def __repr__(self) -> str:
         return f"CycloContext(m={self.m})"
-
-
-def numerator_bits(elements) -> int:
-    """Bit length of the largest |numerator| of elements over their common denominator."""
-    den = math.lcm(*(e.den for e in elements))
-    top = 0
-    for e in elements:
-        scale = den // e.den
-        top = max(top, max(e.num) * scale, -min(e.num) * scale)
-    return top.bit_length()
 
 
 @lru_cache(maxsize=None)

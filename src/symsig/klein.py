@@ -51,7 +51,6 @@ from .cyclotomic import (
     CycloContext,
     CycloElement,
     get_context,
-    numerator_bits,
 )
 
 
@@ -551,18 +550,28 @@ def fundamental_character(G: KleinGroup) -> Character:
     return G._fundamental
 
 
-def _conj(values) -> tuple[CycloElement, ...]:
-    return tuple(v.conjugate() for v in values)
+def _conj(values, memo: dict) -> tuple[CycloElement, ...]:
+    """The conjugates of values; memo maps (num, den) to each conjugate taken so far."""
+    out = []
+    for v in values:
+        key = (v.num, v.den)
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = v.conjugate()
+        out.append(c)
+    return tuple(out)
 
 
 class _Packed:
-    """One vector of field elements, packed at some width (``weighted``: see _Packing)."""
+    """One vector of field elements over their common denominator ``den``,
+    packed at some width (``weighted``: see _Packing)."""
 
     __slots__ = ("values", "weighted", "ints", "den", "width")
 
-    def __init__(self, values, weighted: bool):
+    def __init__(self, values, weighted: bool, den: int):
         self.values = values
         self.weighted = weighted
+        self.den = den
         self.width = None
 
 
@@ -575,32 +584,61 @@ class _Packing:
     unreduced coefficient below 2^(width - headroom), as packed_sum needs;
     ``bits`` is the widest numerator packed so far.  A wider vector raises the
     width, and vectors packed before are repacked on use.
+
+    Each distinct value is worked on once: ``_tops`` keeps its largest
+    |numerator| and ``_ints`` its packed numerator at the current width
+    (dropped when the width grows), both keyed on the numerator tuple, the
+    only input of either; a vector scales them to its common denominator.
     """
 
-    __slots__ = ("G", "sizes", "bits", "width")
+    __slots__ = ("G", "sizes", "bits", "width", "_tops", "_ints")
 
     def __init__(self, G: KleinGroup):
         self.G = G
         self.sizes = tuple(cls.size for cls in G.classes)
         self.bits = 0
         self.width = (G.order * G.ctx.degree).bit_length() + 2 + G.ctx.headroom
+        self._tops = {}
+        self._ints = {}
 
     def pack(self, *vectors, weighted: bool = False) -> list[_Packed]:
-        bits = max(map(numerator_bits, vectors))
+        tops = self._tops
+        packed = []
+        top = 0
+        for vec in vectors:
+            den = math.lcm(*(v.den for v in vec))
+            for v in vec:
+                t = tops.get(v.num)
+                if t is None:
+                    t = tops[v.num] = max(max(v.num), -min(v.num))
+                top = max(top, t * (den // v.den))
+            packed.append(_Packed(vec, weighted, den))
+        bits = top.bit_length()
         if bits > self.bits:
             self.width += 2 * (bits - self.bits)
             self.bits = bits
-        return [_Packed(v, weighted) for v in vectors]
+            self._ints = {}
+        return packed
+
+    def _fill(self, p: _Packed) -> None:
+        """Set p.ints: p's values packed at the current width."""
+        ints, pack, width = self._ints, self.G.ctx.pack, self.width
+        out = []
+        for v in p.values:
+            x = ints.get(v.num)
+            if x is None:
+                x = ints[v.num] = pack(v.num, width)
+            out.append(x if v.den == p.den else x * (p.den // v.den))
+        if p.weighted:
+            out = [w * x for w, x in zip(self.sizes, out)]
+        p.ints, p.width = out, width
 
     def inner(self, x: _Packed, y: _Packed) -> Fraction:
         """<phi, psi> for x packed weighted from conj(phi) and y packed from psi."""
-        ctx = self.G.ctx
         for p in (x, y):
             if p.width != self.width:
-                p.ints, p.den = ctx.pack(p.values, self.width)
-                if p.weighted:
-                    p.ints = [w * v for w, v in zip(self.sizes, p.ints)]
-                p.width = self.width
+                self._fill(p)
+        ctx = self.G.ctx
         r = ctx.packed_sum(None, x.ints, y.ints, x.den * y.den * self.G.order, self.width)
         if r is None:
             raise ConsistencyError(
@@ -612,7 +650,7 @@ class _Packing:
 def _values_inner(G: KleinGroup, phi, psi) -> Fraction:
     """<phi, psi> = (1/|G|) sum over classes of size * conj(phi) * psi."""
     packing = _Packing(G)
-    return packing.inner(*packing.pack(_conj(phi), weighted=True), *packing.pack(psi))
+    return packing.inner(*packing.pack(_conj(phi, {}), weighted=True), *packing.pack(psi))
 
 
 def inner_product(phi: Character, psi: Character) -> Fraction:
@@ -629,7 +667,8 @@ class CharacterTable:
     def __init__(self, group: KleinGroup, irreducibles):
         self.group = group
         self.irreducibles = tuple(irreducibles)
-        self.conj_rows = tuple(_conj(chi.values) for chi in self.irreducibles)
+        conj = {}
+        self.conj_rows = tuple(_conj(chi.values, conj) for chi in self.irreducibles)
 
     def __len__(self):
         return len(self.irreducibles)
@@ -688,10 +727,8 @@ def _cyclic_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     # Classes of the cyclic group are the generator powers in discovery order,
     # so class k is generated by g^k and the weight-t character is zeta^(t*k).
     n = G.order
-    return [
-        tuple(G.ctx.zeta(t * k) for k in range(n))
-        for t in range(n)
-    ]
+    zetas = [G.ctx.zeta(e) for e in range(n)]
+    return [tuple(zetas[t * k % n] for k in range(n)) for t in range(n)]
 
 
 def _subgroup_hits(G: KleinGroup, c: int) -> list[list[int]]:
@@ -728,14 +765,16 @@ def _induced_from_cyclic(G: KleinGroup, c: int):
     d = len(hit_counts[0])
     m = G.m
     step = m // d
+    # Only the classes some power of rep_c lies in have a non-zero value.
+    reached = [(cp, hits) for cp, hits in enumerate(hit_counts) if any(hits)]
     for t in range(d):
-        values = []
-        for hits in hit_counts:
+        values = [ctx.zero] * len(hit_counts)
+        for cp, hits in reached:
             counts = [0] * m
             for s, cnt in enumerate(hits):
                 if cnt:
                     counts[(step * t * s) % m] += cnt
-            values.append(ctx.from_counts(counts, d))
+            values[cp] = ctx.from_counts(counts, d)
         yield tuple(values)
 
 
@@ -804,7 +843,8 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     fund = tuple(fundamental_character(G).values)
     packing = _Packing(G)
     trivial = _trivial_values(G)
-    conj_trivial, = packing.pack(_conj(trivial), weighted=True)
+    conj = {}  # (num, den) -> conjugate, for every value conjugated in this run
+    conj_trivial, = packing.pack(_conj(trivial, conj), weighted=True)
     found = [(trivial, conj_trivial)]
     residuals: list[tuple[CycloElement, ...]] = []
     queue = _SeedQueue(G, fund)
@@ -812,7 +852,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
 
     def try_register(vec, packed) -> bool:
         """Register vec (packed is its packing) as an irreducible if it has norm 1."""
-        conj_vec, = packing.pack(_conj(vec), weighted=True)
+        conj_vec, = packing.pack(_conj(vec, conj), weighted=True)
         if packing.inner(conj_vec, packed) != 1:
             return False
         deg = vec[0].to_rational()

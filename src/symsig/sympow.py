@@ -15,13 +15,18 @@ the fundamental 2-dimensional representation, cross-checking each other:
   determinant polynomial computed from the matrix entries.
 
 Decompositions push the same recurrence through the decomposition map: with
-T[i][j] the multiplicity of chi_i in chi_V * chi_j (an exact inner product,
-computed once and stored as sparse columns), the multiplicity vectors
-satisfy a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring
-with the determinant character.  By Molien's formula sum_q a_q t^q has poles
-only at m-th roots of unity (m the conductor), each of order at most 2, so
-the step a_(q+m) - a_q depends only on q mod m.  The recurrence therefore
-runs once per group, for q < 3m, and row q = s + k*m is
+T[i][j] the multiplicity of chi_i in chi_V * chi_j (computed once and stored
+as sparse columns), the multiplicity vectors satisfy
+a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring with the
+determinant character.  The non-cyclic families lie in SL(2): there T's
+entries are exact inner products and P is the identity.  For cyclic groups
+every irreducible is linear and chi_V is the sum of the two eigenvalue
+characters, so T and P are read off exponent vectors in O(r^2) integer
+steps, with no field product (`_cyclic_twists`; the inner products of
+`_tensor_matrix` are its oracle in the tests).  By Molien's formula
+sum_q a_q t^q has poles only at m-th roots of unity (m the conductor), each
+of order at most 2, so the step a_(q+m) - a_q depends only on q mod m.  The
+recurrence therefore runs once per group, for q < 3m, and row q = s + k*m is
 a_s + k * (a_(s+m) - a_s) for every q.  The literal inner-product evaluation
 is kept as `decompose_inner` and serves as the oracle for the fast route.
 """
@@ -232,22 +237,53 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
 
 
 def _det_permutation(G: KleinGroup) -> list[int]:
-    """perm[j] = index of det_character * chi_j in the table."""
-    table = character_table(G)
-    dets = tuple(G.class_det(c) for c in range(G.num_classes))
-    if all(d == G.ctx.one for d in dets):
-        return list(range(len(table)))
-    by_values = {chi.values: i for i, chi in enumerate(table)}
-    perm = []
-    for chi in table:
-        target = tuple(d * v for d, v in zip(dets, chi.values))
-        i = by_values.get(target)
-        if i is None:
-            raise ConsistencyError(
-                "determinant twist of an irreducible is missing from the table"
-            )
-        perm.append(i)
-    return perm
+    """P for a non-cyclic group: every such family lies in SL(2), so det is
+    trivial and P is the identity; the determinants are checked."""
+    if any(G.class_det(c) != G.ctx.one for c in range(G.num_classes)):
+        raise ConsistencyError(f"determinant character of {G.kind} is not trivial")
+    return list(range(G.num_classes))
+
+
+def _cyclic_twists(G: KleinGroup) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """T's sparse columns and P for a cyclic group, read off eigen exponents.
+
+    Every irreducible is linear, so row j is c -> zeta^(E_j[c]) for an
+    exponent vector E_j; chi_V is the sum of the eigen characters
+    c -> zeta^(e_k[c]), (e_1[c], e_2[c]) = G.class_eigen[c].  So
+    chi_V * chi_j = chi_sigma1(j) + chi_sigma2(j), sigma_k(j) being the row
+    with exponents E_j + e_k, and det * chi_j = chi_sigma2(sigma1(j)).
+    """
+    m = G.m
+    exponent = {}
+    for e in range(m):
+        z = G.ctx.zeta(e)
+        exponent[z.num, z.den] = e
+    rows = {}
+    for j, chi in enumerate(character_table(G)):
+        vec = []
+        for v in chi.values:
+            e = exponent.get((v.num, v.den))
+            if e is None:
+                raise ConsistencyError(
+                    f"value {v} of a cyclic character is not a root of unity"
+                )
+            vec.append(e)
+        rows[tuple(vec)] = j  # rows of a validated table differ, so this keeps j order
+    sigma = []
+    for shift in zip(*G.class_eigen):
+        twisted = []
+        for vec in rows:
+            i = rows.get(tuple((a + b) % m for a, b in zip(vec, shift)))
+            if i is None:
+                raise ConsistencyError(
+                    "eigenvalue twist of an irreducible is missing from the table"
+                )
+            twisted.append(i)
+        sigma.append(twisted)
+    columns = [
+        [(i1, 2)] if i1 == i2 else sorted([(i1, 1), (i2, 1)]) for i1, i2 in zip(*sigma)
+    ]
+    return columns, [sigma[1][i] for i in sigma[0]]
 
 
 @lru_cache(maxsize=None)
@@ -258,8 +294,10 @@ def _period_rows(G: KleinGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     every row is checked, and the steps from q = m on must repeat the first m.
     """
     degrees = character_table(G).degrees
-    columns = _tensor_matrix(G)
-    perm = _det_permutation(G)
+    if G.kind.family == "cyclic":
+        columns, perm = _cyclic_twists(G)
+    else:
+        columns, perm = _tensor_matrix(G), _det_permutation(G)
     r, m = len(degrees), G.m
     rows = [(0,) * r, tuple(1 if i == 0 else 0 for i in range(r))]
     while len(rows) <= 3 * m:

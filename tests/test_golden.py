@@ -1,9 +1,12 @@
 """Golden CLI corpus: stdout of fixed commands, pinned by its sha256.
 
 The ``SHA256`` hashes were captured before the packed inner-product kernel
-replaced the per-term field arithmetic.  The ``SINGLE`` hashes (the elliptic
-reports and ``table BT --selfcheck``) were captured before the group layer
-moved to integer element indices.  Any change to a printed byte fails here.
+replaced the per-term field arithmetic.  The ``SINGLE`` hashes of the elliptic
+reports and ``table BT --selfcheck`` were captured before the group layer
+moved to integer element indices; those of the three cyclic commands, before
+cyclic McKay columns were read off eigenvalue exponents and values were
+packed, conjugated and rendered once per distinct value.  Any change to a
+printed byte fails here.
 """
 
 import contextlib
@@ -100,7 +103,7 @@ SHA256 = {
     ),
 }
 
-# Commands without a group argument, one hash per format.
+# Commands run as written, one hash per format.
 SINGLE = {
     "elliptic sym 0..64": (
         "d21b65c6a57dd340dc557d99d6d5d53684bb2e26250e12c83fa45b43c7172b22",
@@ -121,6 +124,21 @@ SINGLE = {
         "2ca4506ab0a417b0d983a09250729c39a3d8499625305fc9e8b2cf575eed0c04",
         "859040e360414e984b44aab0ee873c74e75a96dc7dca033f2769f2263dd37a71",
         "5ecf21798dbd1010c1f6c19c04c23b01ce279f9d6836b1f40325886d6d2cf838",
+    ),
+    "decompose cyclic:36,11 0..32": (
+        "eb6516676a30f408e7a07d938bd54a67f994ec64429e8716b1196251ad3628a1",
+        "b2e016d80a5672060d1040ad93bab2392b97627e68aa61a52b697394c296ed36",
+        "5f385ce7f42f6302a151f6cfe2439795d6f1820b4521762914abb4fdb320e57d",
+    ),
+    "signature cyclic:48,5 -i 7 --horizon 2000": (
+        "4d0a59a70c86839782a4663cc2750345af72b92e41aa0fd918c0ee327ef4f4d2",
+        "70040012118d26049d17fb2bd82a4818f2a12d32f7c695d5e5f9500137d6add2",
+        "501ffc4d93a61cb24597b51761092cd644a80a166b5558cc381e0f0eb7d876a4",
+    ),
+    "table cyclic:12,11": (
+        "88db505d5156c86f586db6db2f2353725101f9e564a53bdd7cd51dea48e8ac98",
+        "29eeda62a2866e2d89e27bfa3445c12732ea39079373c0eeb0b184d150850079",
+        "8da7ce30e1aa035227414de31dcb7c42aa5536494eae8964037eda6102c6e65f",
     ),
 }
 

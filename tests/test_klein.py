@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from symsig import klein
-from symsig.cyclotomic import ConsistencyError, CycloElement
+from symsig import klein, sympow
+from symsig.cyclotomic import ConsistencyError, CycloContext, CycloElement
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -21,6 +21,8 @@ from symsig.klein import (
     cyclic_weight_indices,
     fundamental_character,
     inner_product,
+    _conj,
+    _Packing,
     _subgroup_hits,
     _values_inner,
 )
@@ -300,6 +302,53 @@ class TestOperationCounts:
         # 363 peels find the 9 irreducibles; none runs after the last
         assert 0 < peels <= 363
 
+    def test_induced_seeds_build_only_the_reached_classes(self, monkeypatch):
+        calls = 0
+        from_counts = CycloContext.from_counts
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return from_counts(self, *args)
+
+        monkeypatch.setattr(CycloContext, "from_counts", counted)
+        G = build_group(BinaryDihedral(12))
+        for c in range(G.num_classes):
+            for _ in klein._induced_from_cyclic(G, c):
+                # the powers of rep_c lie in at most order(rep_c) classes
+                assert calls <= G.class_order(c)
+                calls = 0
+
+    def test_cyclic_table_conjugates_once_per_distinct_value(self, monkeypatch):
+        calls = 0
+        conjugate = CycloElement.conjugate
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return conjugate(self)
+
+        monkeypatch.setattr(CycloElement, "conjugate", counted)
+        table = character_table(build_group.__wrapped__(Cyclic(60, 7)))
+        distinct = {(v.num, v.den) for chi in table for v in chi.values}
+        assert len(distinct) == 60
+        assert 0 < calls <= len(distinct)
+
+    def test_cyclic_period_rows_need_no_field_product_or_inner_product(self, monkeypatch):
+        G = build_group.__wrapped__(Cyclic(60, 7))
+        character_table(G)  # validate() takes its inner products here
+        calls = {"packed_sum": 0, "__mul__": 0}
+        for cls, name in ((CycloContext, "packed_sum"), (CycloElement, "__mul__")):
+            op = getattr(cls, name)
+
+            def counted(self, *args, op=op, name=name):
+                calls[name] += 1
+                return op(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        sympow._period_rows.__wrapped__(G)
+        assert calls == {"packed_sum": 0, "__mul__": 0}
+
 
 class TestFundamentalCharacter:
     def test_degree_two(self):
@@ -440,6 +489,55 @@ class TestInnerProductChecks:
             bad = CharacterTable(G, [Character(G, row) for row in rows])
             with pytest.raises(ConsistencyError):
                 bad.validate()
+
+
+def _plain_inner(G, phi, psi) -> Fraction:
+    """Oracle: (1/|G|) sum_c size_c conj(phi_c) psi_c in field arithmetic."""
+    acc = G.ctx.zero
+    for cls, x, y in zip(G.classes, phi, psi):
+        acc = acc + cls.size * (x.conjugate() * y)
+    return acc.to_rational() / G.order
+
+
+class TestPacking:
+    def test_width_counts_numerators_over_the_common_denominator(self):
+        G = build_group(Cyclic(12, 11))
+        ctx = G.ctx
+        x = ctx.from_coeffs([Fraction(-5, 3)] + [0] * (ctx.degree - 1))
+        y = ctx.from_coeffs([Fraction(1, 4)] + [0] * (ctx.degree - 1))
+        zeros = (ctx.zero,) * (G.num_classes - 2)
+        packing = _Packing(G)
+        width = packing.width
+        packing.pack((ctx.zero,) + zeros + (ctx.zero,))
+        assert (packing.bits, packing.width) == (0, width)
+        packing.pack((x, y) + zeros)
+        assert packing.bits == (5 * 4).bit_length()
+        assert packing.width == width + 2 * packing.bits
+
+    @pytest.mark.parametrize(
+        "kind", [Cyclic(12, 5), BinaryTetrahedral, BinaryIcosahedral], ids=str
+    )
+    def test_a_wider_vector_repacks_the_narrow_ones(self, kind):
+        # A narrow vector is packed and used, then a wider one grows the width:
+        # the values packed at the old width must be dropped and repacked.
+        G = build_group(kind)
+        table = character_table(G)
+        narrow = tuple(
+            (x + 2 * y) * Fraction(1, 3) for x, y in zip(table[1].values, table[-1].values)
+        )
+        wide = tuple(3 ** 40 * x + y for x, y in zip(table[-1].values, narrow))
+        packing = _Packing(G)
+        memo = {}
+        conj_narrow, = packing.pack(_conj(narrow, memo), weighted=True)
+        plain_narrow, = packing.pack(narrow)
+        assert packing.inner(conj_narrow, plain_narrow) == _plain_inner(G, narrow, narrow)
+        width = packing.width
+        conj_wide, = packing.pack(_conj(wide, memo), weighted=True)
+        plain_wide, = packing.pack(wide)
+        assert packing.width > width
+        assert packing.inner(conj_narrow, plain_narrow) == _plain_inner(G, narrow, narrow)
+        assert packing.inner(conj_wide, plain_wide) == _plain_inner(G, wide, wide)
+        assert packing.inner(conj_narrow, plain_wide) == _plain_inner(G, narrow, wide)
 
 
 class TestWeightIndices:

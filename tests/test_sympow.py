@@ -1,12 +1,18 @@
 """Symmetric-power characters and decompositions: three routes, one answer."""
 
+import math
+
 import pytest
 
+from symsig import sympow
+from symsig.cyclotomic import ConsistencyError
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
     BinaryOctahedral,
     BinaryTetrahedral,
+    Character,
+    CharacterTable,
     Cyclic,
     build_group,
     character_table,
@@ -14,6 +20,8 @@ from symsig.klein import (
     inner_product,
 )
 from symsig.sympow import (
+    _cyclic_twists,
+    _det_permutation,
     _tensor_matrix,
     decompose,
     decompose_inner,
@@ -179,6 +187,45 @@ class TestDecompose:
             chi = sym_character(G, q)
             for irr in table:
                 assert inner_product(chi, irr) == inner_product(irr, chi)
+
+
+def _field_det_permutation(G):
+    """Oracle for P: perm[j] is the row equal to det * chi_j, by field products."""
+    table = character_table(G)
+    dets = [G.class_det(c) for c in range(G.num_classes)]
+    by_values = {chi.values: i for i, chi in enumerate(table)}
+    return [by_values[tuple(d * v for d, v in zip(dets, chi.values))] for chi in table]
+
+
+class TestCyclicTwists:
+    @pytest.mark.parametrize("n", [*range(2, 25), 36, 48, 60])
+    def test_matches_inner_products_and_field_products(self, n):
+        weights = {36: [11], 48: [5], 60: [7]}.get(n, range(1, n))
+        for a in weights:
+            if math.gcd(a, n) == 1:
+                G = build_group(Cyclic(n, a))
+                columns, perm = _cyclic_twists(G)
+                assert columns == _tensor_matrix(G), G.kind
+                assert perm == _field_det_permutation(G), G.kind
+
+    @pytest.mark.parametrize("replace", ["other root", "not a root"])
+    def test_a_corrupted_row_is_refused(self, replace, monkeypatch):
+        G = build_group(Cyclic(12, 5))
+        table = character_table(G)
+        for i, c in ((1, 1), (5, 7), (11, 11)):
+            rows = [list(chi.values) for chi in table]
+            v = rows[i][c]
+            rows[i][c] = v * G.ctx.zeta(1) if replace == "other root" else 2 * v
+            bad = CharacterTable(G, [Character(G, row) for row in rows])
+            monkeypatch.setattr(sympow, "character_table", lambda G: bad)
+            match = "missing from the table" if replace == "other root" else "not a root of unity"
+            with pytest.raises(ConsistencyError, match=match):
+                _cyclic_twists(G)
+
+    def test_det_permutation_is_for_sl2_groups(self):
+        assert _det_permutation(build_group(BinaryTetrahedral)) == list(range(7))
+        with pytest.raises(ConsistencyError, match="not trivial"):
+            _det_permutation(build_group(Cyclic(7, 3)))
 
 
 class TestSpringerSeries:

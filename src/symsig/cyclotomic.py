@@ -132,12 +132,13 @@ class CycloContext:
                 for j, rj in enumerate(top):
                     vec[j] += lead * rj
         self._zeta_num = pows
-        # _red[k] = x^(d+k) reduced mod Phi_m, for k in [0, d-1); products of
-        # reduced elements never need more.
-        self._red = [pows[(d + k) % m] for k in range(d - 1)]
+        # x^(d+k) reduced mod Phi_m, for k in [0, d-1); products of reduced
+        # elements never need more.  _red[k] lists its non-zero (j, coeff).
+        red = [pows[(d + k) % m] for k in range(d - 1)]
+        self._red = [[(j, c) for j, c in enumerate(row) if c] for row in red]
         # Bits a packed sum needs above its unreduced coefficients: reducing grows
-        # one at most 1 + max column sum of |_red| times, which is >= max|Phi_m coeff|.
-        columns = [sum(map(abs, col)) for col in zip(*self._red)]
+        # one at most 1 + max column sum of |red| times, which is >= max|Phi_m coeff|.
+        columns = [sum(map(abs, col)) for col in zip(*red)]
         self.headroom = (1 + max(columns, default=0)).bit_length() + 2
         self._moduli = {}  # width -> Phi_m(2^width)
         self.zero = CycloElement(self, (0,) * d, 1)
@@ -338,19 +339,23 @@ class CycloElement:
             return NotImplemented
         ctx = self.ctx
         d = ctx.degree
+        if self.num.count(0) == d or o.num.count(0) == d:
+            return ctx.zero
+        # Schoolbook over the non-zero coefficients, the sparser operand outside.
+        a = [(i, v) for i, v in enumerate(self.num) if v]
+        b = [(j, v) for j, v in enumerate(o.num) if v]
+        if len(a) > len(b):
+            a, b = b, a
         out = [0] * (2 * d - 1)
-        for i, ai in enumerate(self.num):
-            if ai:
-                for j, bj in enumerate(o.num):
-                    if bj:
-                        out[i + j] += ai * bj
+        for i, ai in a:
+            for j, bj in b:
+                out[i + j] += ai * bj
         red = ctx._red
         for k in range(2 * d - 2, d - 1, -1):
             c = out[k]
             if c:
-                for j, rj in enumerate(red[k - d]):
-                    if rj:
-                        out[j] += c * rj
+                for j, rj in red[k - d]:
+                    out[j] += c * rj
         return CycloElement._make(ctx, out[:d], self.den * o.den)
 
     __rmul__ = __mul__

@@ -27,14 +27,16 @@ are then worked out on element indices.
 
 Character tables are computed, never transcribed.  Cyclic tables come from
 the explicit weight characters; the non-abelian families run a tensor-peeling
-loop seeded with the fundamental character and with characters induced from
-the cyclic subgroups generated by class representatives (plain tensor-peeling
-alone stalls on clumped remainders, e.g. the three linear characters of the
-quaternion group arrive as one norm-3 remainder).  The induction seeds are
-drawn lazily, class by class, in a fixed order: discovery usually ends long
-before the last of them would be read, and those are never built.  Every
-table is validated against both orthogonality relations before it is
-returned.
+loop.  It first walks the McKay graph from the trivial character, peeling
+fund * chi for each irreducible chi the walk finds; on BI, whose graph is a
+tree, the walk alone finds the table.  Plain tensor-peeling stalls on clumped
+remainders (e.g. the three linear characters of the quaternion group arrive
+as one norm-3 remainder), so the loop then draws characters induced from the
+cyclic subgroups generated by class representatives, class by class, and
+last fund times the other irreducibles and the remainders.  Seeds and
+products are built only when drawn, and a vector drawn twice is peeled once,
+so discovery peels about r vectors.  Every table is validated against both
+orthogonality relations before it is returned.
 """
 
 from __future__ import annotations
@@ -779,29 +781,45 @@ def _induced_from_cyclic(G: KleinGroup, c: int):
 
 
 class _SeedQueue:
-    """Discovery's work queue: fund, then the characters induced from each
-    class in turn, each built only when drawn; then the vectors appended
-    while discovery runs."""
+    """Discovery's work queue, drawn in three parts: the walk, the characters
+    induced from each class in turn, then the tail.
 
-    __slots__ = ("_seeds", "_left", "_tail")
+    The walk and the tail hold factors chi and yield fund * chi, multiplied
+    only when drawn.  The walk starts from the trivial character, and each
+    irreducible registered from a walk vector extends it (``walk``), so it
+    steps along the McKay graph and holds at most r + 1 factors; every other
+    factor goes to the tail (``append``).  A seed is built only when drawn.
+    """
+
+    __slots__ = ("_fund", "_walk", "_seeds", "_left", "_tail")
 
     def __init__(self, G: KleinGroup, fund):
         r = G.num_classes
-        self._seeds = itertools.chain([fund], *(_induced_from_cyclic(G, c) for c in range(r)))
-        self._left = 1 + sum(G.class_order(c) for c in range(r))
+        self._fund = fund
+        self._walk = deque([_trivial_values(G)])
+        self._seeds = itertools.chain(*(_induced_from_cyclic(G, c) for c in range(r)))
+        self._left = sum(G.class_order(c) for c in range(r))
         self._tail = deque()
 
     def __bool__(self) -> bool:
-        return self._left > 0 or bool(self._tail)
+        return bool(self._walk) or self._left > 0 or bool(self._tail)
 
-    def append(self, vec) -> None:
-        self._tail.append(vec)
+    def walk(self, chi) -> None:
+        self._walk.append(chi)
+
+    def append(self, chi) -> None:
+        self._tail.append(chi)
 
     def popleft(self):
-        if self._left:
+        """The next vector, and whether it came from the walk."""
+        if self._walk:
+            chi, walked = self._walk.popleft(), True
+        elif self._left:
             self._left -= 1
-            return next(self._seeds)
-        return self._tail.popleft()
+            return next(self._seeds), False
+        else:
+            chi, walked = self._tail.popleft(), False
+        return tuple(x * y for x, y in zip(chi, self._fund)), walked
 
 
 def _peel(packing: _Packing, vec, found):
@@ -838,7 +856,7 @@ def _peel(packing: _Packing, vec, found):
 
 
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
-    """Tensor-peeling with induced-character seeds."""
+    """Tensor-peeling along the McKay graph, with induced-character seeds."""
     r = G.num_classes
     fund = tuple(fundamental_character(G).values)
     packing = _Packing(G)
@@ -848,6 +866,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     found = [(trivial, conj_trivial)]
     residuals: list[tuple[CycloElement, ...]] = []
     queue = _SeedQueue(G, fund)
+    peeled = set()  # the (num, den) tuples of every vector peeled from the queue
     budget = 60 * r * r
 
     def try_register(vec, packed) -> bool:
@@ -859,7 +878,6 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
         if deg is None or deg.denominator != 1 or deg <= 0:
             raise ConsistencyError(f"norm-1 remainder with bad degree {deg!r}")
         found.append((vec, conj_vec))
-        queue.append(tuple(x * y for x, y in zip(vec, fund)))
         return True
 
     processed = 0
@@ -871,14 +889,20 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
                 raise ConsistencyError(
                     f"character discovery for {G.kind} exceeded its budget"
                 )
-            vec, packed = _peel(packing, queue.popleft(), found)
+            vec, walked = queue.popleft()
+            key = tuple((v.num, v.den) for v in vec)
+            if key in peeled:
+                continue
+            peeled.add(key)
+            vec, packed = _peel(packing, vec, found)
             if all(v.is_zero for v in vec):
                 continue
             if try_register(vec, packed):
                 made_progress = True
+                (queue.walk if walked else queue.append)(vec)
             else:
                 residuals.append(vec)
-                queue.append(tuple(x * y for x, y in zip(vec, fund)))
+                queue.append(vec)
         # Re-peel stashed remainders against the irreducibles found since;
         # any norm-1 remainder is an irreducible.
         kept = []
@@ -890,6 +914,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
                 continue
             if try_register(vec, packed):
                 made_progress = True
+                queue.append(vec)
             else:
                 kept.append(vec)
         residuals = kept

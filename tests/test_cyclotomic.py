@@ -221,6 +221,46 @@ def random_element(ctx, rng):
     return ctx.from_coeffs(coeffs)
 
 
+def schoolbook_mul(x, y):
+    """Oracle: the dense product loop over every coefficient pair, reduced
+    with the power-basis vectors of z^d .. z^(2d-2)."""
+    ctx = x.ctx
+    d = ctx.degree
+    out = [0] * (2 * d - 1)
+    for i, a in enumerate(x.num):
+        if a:
+            for j, b in enumerate(y.num):
+                if b:
+                    out[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c = out[k]
+        if c:
+            for j, rj in enumerate(ctx.zeta(k).num):
+                if rj:
+                    out[j] += c * rj
+    return ctx.from_coeffs([Fraction(v, x.den * y.den) for v in out[:d]])
+
+
+@pytest.mark.parametrize("m", [12, 24, 60, 105, 120])
+def test_sparse_product_matches_the_schoolbook_loop(m):
+    ctx = get_context(m)
+    rng = random.Random(f"sparse-mul:{m}")
+    operands = [ctx.zero, ctx.one, ctx.rational(Fraction(-3, 4))]
+    for _ in range(6):
+        e1, e2 = rng.randrange(m), rng.randrange(m)
+        operands += [
+            random_element(ctx, rng),
+            ctx.zeta(e1),
+            -ctx.zeta(e2),
+            ctx.zeta(e1) + ctx.zeta(e2),
+            ctx.zeta(e1) - 2 * ctx.zeta(e2),
+        ]
+    for x in operands:
+        for y in operands:
+            assert x * y == schoolbook_mul(x, y)
+    assert ctx.zeta(m - 1) * ctx.zeta(1) == ctx.one
+
+
 def pack(ctx, elements, width):
     """The elements as packed ints over their common denominator, and that denominator."""
     den = math.lcm(*(e.den for e in elements))

@@ -12,10 +12,21 @@ printed byte fails here.
 import contextlib
 import hashlib
 import io
+import math
 
 import pytest
 
 import symsig.cli as cli
+from symsig import sympow
+from symsig.klein import (
+    BinaryDihedral,
+    BinaryIcosahedral,
+    BinaryOctahedral,
+    BinaryTetrahedral,
+    Cyclic,
+    build_group,
+    character_table,
+)
 
 GROUPS = ("BT", "BI", "BD:5", "cyclic:7,3", "cyclic:60,7")
 COMMANDS = {
@@ -165,3 +176,36 @@ def test_single_command_stdout_hash(command, fmt):
     argv = command.split() + ["--format", fmt]
     digest = _stdout_sha256(argv)
     assert digest == SINGLE[command][FORMATS.index(fmt)], " ".join(argv)
+
+
+# Every group whose tables the digest below pins: the binary families through
+# BD:25, every cyclic quotient of order at most 16, and three large cyclic ones.
+DIGEST_GROUPS = (
+    [BinaryDihedral(n) for n in range(2, 26)]
+    + [BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral]
+    + [Cyclic(n, a) for n in range(2, 17) for a in range(1, n) if math.gcd(a, n) == 1]
+    + [Cyclic(36, 11), Cyclic(48, 5), Cyclic(60, 7)]
+)
+
+# Captured before discovery walked the McKay graph and peeled each distinct
+# vector once.
+TABLES_DIGEST = "e8b9d4e97ca9390c040a04cdef70724bc88fc65fa51bc37bb11218a0ceeb4964"
+
+
+def test_tables_mckay_columns_and_period_rows_digest():
+    """One sha256 over each group's character table (value by value), McKay
+    columns and Sym^q period rows, for the 109 groups of DIGEST_GROUPS."""
+    assert len(DIGEST_GROUPS) == 109
+    h = hashlib.sha256()
+    for kind in DIGEST_GROUPS:
+        G = build_group(kind)
+        h.update(f"{kind}\n".encode())
+        for chi in character_table(G):
+            h.update(repr([(v.num, v.den) for v in chi.values]).encode())
+        if kind.family == "cyclic":
+            columns = sympow._cyclic_twists(G)[0]
+        else:
+            columns = sympow._tensor_matrix(G)
+        h.update(repr(columns).encode())
+        h.update(repr(sympow._period_rows(G)).encode())
+    assert h.hexdigest() == TABLES_DIGEST

@@ -288,19 +288,78 @@ class TestOperationCounts:
         character_table(build_group.__wrapped__(BinaryIcosahedral))
         assert calls == 0
 
-    def test_discovery_stops_peeling_once_the_table_is_complete(self, monkeypatch):
-        peels = 0
+    @staticmethod
+    def _peeled_vectors(kind, monkeypatch) -> list:
+        """The vectors one cold discovery of kind passes to _peel, in order."""
+        peeled = []
         peel = klein._peel
 
-        def counted(*args):
-            nonlocal peels
-            peels += 1
-            return peel(*args)
+        def recorded(packing, vec, found):
+            peeled.append(tuple((v.num, v.den) for v in vec))
+            return peel(packing, vec, found)
 
-        monkeypatch.setattr(klein, "_peel", counted)
-        character_table(build_group.__wrapped__(BinaryIcosahedral))
-        # 363 peels find the 9 irreducibles; none runs after the last
-        assert 0 < peels <= 363
+        monkeypatch.setattr(klein, "_peel", recorded)
+        klein._discover_table(build_group.__wrapped__(kind))
+        return peeled
+
+    def test_discovery_stops_peeling_once_the_table_is_complete(self, monkeypatch):
+        # the walk along the McKay graph (a tree for BI) finds the 9
+        # irreducibles in 12 peels; none runs after the last
+        assert 0 < len(self._peeled_vectors(BinaryIcosahedral, monkeypatch)) <= 12
+
+    def test_binary_dihedral_discovery_peels_about_once_per_class(self, monkeypatch):
+        G = build_group(BinaryDihedral(30))
+        peels = len(self._peeled_vectors(BinaryDihedral(30), monkeypatch))
+        assert G.num_classes <= peels <= G.num_classes + 3
+
+    @pytest.mark.parametrize(
+        "kind",
+        [BinaryDihedral(n) for n in range(2, 13)]
+        + [BinaryDihedral(30), BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral],
+        ids=str,
+    )
+    def test_discovery_never_peels_a_vector_twice(self, kind, monkeypatch):
+        # Ind psi_t = Ind psi_-t: BD:30 skips 30 of its 66 draws as repeats
+        peeled = self._peeled_vectors(kind, monkeypatch)
+        assert len(set(peeled)) == len(peeled)
+
+    def test_discovery_multiplies_only_the_vectors_it_draws(self, monkeypatch):
+        G = build_group.__wrapped__(BinaryIcosahedral)
+        fundamental_character(G)
+        counts = {"products": 0, "draws": 0, "seeds": 0, "factors": 1}  # the walk starts from 1
+        mul = CycloElement.__mul__
+        induce = klein._induced_from_cyclic
+        popleft = klein._SeedQueue.popleft
+
+        def counted_mul(self, other):
+            counts["products"] += 1
+            return mul(self, other)
+
+        def counted_seeds(G, c):
+            for vec in induce(G, c):
+                counts["seeds"] += 1
+                yield vec
+
+        def counted_popleft(queue):
+            counts["draws"] += 1
+            return popleft(queue)
+
+        monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
+        monkeypatch.setattr(klein, "_induced_from_cyclic", counted_seeds)
+        monkeypatch.setattr(klein._SeedQueue, "popleft", counted_popleft)
+        for name in ("walk", "append"):
+            push = getattr(klein._SeedQueue, name)
+
+            def counted_push(queue, chi, push=push):
+                counts["factors"] += 1
+                return push(queue, chi)
+
+            monkeypatch.setattr(klein._SeedQueue, name, counted_push)
+        klein._discover_table(G)
+        drawn = counts["draws"] - counts["seeds"]
+        # discovery ends with factors still queued, and multiplies none of them
+        assert drawn < counts["factors"]
+        assert counts["products"] == G.num_classes * drawn
 
     def test_induced_seeds_build_only_the_reached_classes(self, monkeypatch):
         calls = 0

@@ -17,7 +17,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import getitem, mul
 
 
 class ConsistencyError(Exception):
@@ -211,11 +211,20 @@ class CycloContext:
         if weights is not None:
             xs = map(mul, weights, xs)
         total = sum(map(mul, xs, ys))
-        if total.bit_length() > (2 * self.degree - 1) * width - self.headroom + 1:
+        return self._value(total, den, width, self._modulus(width, total.bit_length()))
+
+    def _modulus(self, width: int, bits: int) -> int:
+        """Phi_m(2^width), once an unreduced packed sum of ``bits`` bits fits its slots."""
+        if bits > (2 * self.degree - 1) * width - self.headroom + 1:
             raise ConsistencyError(f"packed sum overflows its {width}-bit slots")
         modulus = self._moduli.get(width)
         if modulus is None:
             modulus = self._moduli[width] = sum(c << j * width for j, c in enumerate(self.poly))
+        return modulus
+
+    @staticmethod
+    def _value(total: int, den: int, width: int, modulus: int) -> Fraction | None:
+        """R(B) / den from total = S(B) mod Phi_m(B), or None (see ``packed_sum``)."""
         r = (total + (modulus >> 1)) % modulus - (modulus >> 1)
         return None if abs(r) >> (width - 2) else Fraction(r, den)
 
@@ -226,6 +235,39 @@ class CycloContext:
 @lru_cache(maxsize=None)
 def get_context(m: int) -> CycloContext:
     return CycloContext(m)
+
+
+class PackedProducts(dict):
+    """Products of packed ints, each reduced mod Phi_m(2^width) once: self[p, w]
+    lists w * xs[p] * ys[q] over q.  Evaluation at 2^width is a ring map, so a
+    sum of entries has the residue, and ``total`` the value, that ``packed_sum``
+    finds for the unreduced products at that width.
+    """
+
+    def __init__(self, ctx: CycloContext, xs, ys, width: int, den: int):
+        self.ctx, self.xs, self.ys, self.width, self.den = ctx, xs, ys, width, den
+        self.bits = max(y.bit_length() for y in ys)  # plus x's bits: a bound on x * y's
+
+    def __missing__(self, key) -> list[int]:
+        p, w = key
+        if w != 1:
+            row = self[key] = [w * t for t in self[p, 1]]
+            return row
+        modulus = self.ctx._modulus(self.width, self.xs[p].bit_length() + self.bits)
+        row = self[key] = [self.xs[p] * y % modulus for y in self.ys]
+        return row
+
+    def total(self, rows, ids) -> Fraction | None:
+        """(sum_k rows[k][ids[k]]) / den, or None if it is not rational."""
+        modulus = self.ctx._moduli[self.width]
+        return self.ctx._value(sum(map(getitem, rows, ids)), self.den, self.width, modulus)
+
+
+def distinct(vectors) -> tuple[tuple[CycloElement, ...], list[list[int]]]:
+    """The distinct values of vectors, keyed on (num, den), and each vector as their ids."""
+    ids = {}
+    out = [[ids.setdefault((v.num, v.den), (len(ids), v))[0] for v in vec] for vec in vectors]
+    return tuple(v for _, v in ids.values()), out
 
 
 class CycloElement:

@@ -52,6 +52,8 @@ from .cyclotomic import (
     ConsistencyError,
     CycloContext,
     CycloElement,
+    PackedProducts,
+    distinct,
     get_context,
 )
 
@@ -640,13 +642,29 @@ class _Packing:
         for p in (x, y):
             if p.width != self.width:
                 self._fill(p)
-        ctx = self.G.ctx
-        r = ctx.packed_sum(None, x.ints, y.ints, x.den * y.den * self.G.order, self.width)
-        if r is None:
-            raise ConsistencyError(
-                "inner product of class functions is not rational; inputs are not characters"
-            )
-        return r
+        den = x.den * y.den * self.G.order
+        return _exact(self.G.ctx.packed_sum(None, x.ints, y.ints, den, self.width))
+
+    def products(self, lefts, rights) -> tuple[PackedProducts, list, list]:
+        """The products of the conjugated distinct values of lefts with the
+        distinct values of rights, each packed once, and every vector as ids into
+        its side's values: products.total([products[p, w_k] for p, w_k in
+        zip(left[i], w)], right[j]) is (1/|G|) sum_k w_k conj(lefts[i][k]) rights[j][k].
+        """
+        (xs, left), (ys, right) = distinct(lefts), distinct(rights)
+        x, y = self.pack(tuple(v.conjugate() for v in xs), ys)
+        for p in (x, y):
+            self._fill(p)
+        den = x.den * y.den * self.G.order
+        return PackedProducts(self.G.ctx, x.ints, y.ints, self.width, den), left, right
+
+
+def _exact(r: Fraction | None) -> Fraction:
+    if r is None:
+        raise ConsistencyError(
+            "inner product of class functions is not rational; inputs are not characters"
+        )
+    return r
 
 
 def _values_inner(G: KleinGroup, phi, psi) -> Fraction:
@@ -662,15 +680,13 @@ def inner_product(phi: Character, psi: Character) -> Fraction:
 
 
 class CharacterTable:
-    """The complete list of irreducible characters, trivial first, with their conjugates."""
+    """The complete list of irreducible characters, trivial first."""
 
-    __slots__ = ("group", "irreducibles", "conj_rows")
+    __slots__ = ("group", "irreducibles")
 
     def __init__(self, group: KleinGroup, irreducibles):
         self.group = group
         self.irreducibles = tuple(irreducibles)
-        conj = {}
-        self.conj_rows = tuple(_conj(chi.values, conj) for chi in self.irreducibles)
 
     def __len__(self):
         return len(self.irreducibles)
@@ -696,23 +712,23 @@ class CharacterTable:
         if sum(d * d for d in self.degrees) != G.order:
             raise ConsistencyError("sum of squared degrees differs from |G|")
         rows = [chi.values for chi in self.irreducibles]
-        packing = _Packing(G)
-        conj = packing.pack(*self.conj_rows, weighted=True)
-        plain = packing.pack(*rows)
+        sizes = [cls.size for cls in G.classes]
+        products, conj_ids, ids = _Packing(G).products(rows, rows)
+        sums = [[products[p, w] for p, w in zip(row, sizes)] for row in conj_ids]
         for i in range(r):
             for j in range(i, r):
-                got = packing.inner(conj[i], plain[j])
+                got = _exact(products.total(sums[i], ids[j]))
                 want = 1 if i == j else 0
                 if got != want:
                     raise ConsistencyError(f"<chi_{i}, chi_{j}> = {got}, expected {want}")
-        # Column (second) orthogonality, packed unweighted: sum_i conj(chi_i(c))
-        # chi_i(c') is |G|/size(c) on the diagonal and 0 off it.
-        conj = packing.pack(*zip(*self.conj_rows))
-        plain = packing.pack(*zip(*rows))
+        # Column (second) orthogonality, from the same products unweighted:
+        # sum_i conj(chi_i(c)) chi_i(c') is |G|/size(c) on the diagonal and 0 off it.
+        sums = [[products[p, 1] for p in col] for col in zip(*conj_ids)]
+        ids = list(zip(*ids))
         for c in range(r):
             for cp in range(c, r):
-                got = packing.inner(conj[c], plain[cp])
-                want = Fraction(1, G.classes[c].size) if c == cp else 0
+                got = _exact(products.total(sums[c], ids[cp]))
+                want = Fraction(1, sizes[c]) if c == cp else 0
                 if got != want:
                     raise ConsistencyError(f"column orthogonality fails at classes ({c}, {cp})")
         # The table separates classes: no two identical columns.

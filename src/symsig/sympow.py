@@ -43,6 +43,7 @@ from .klein import (
     character_table,
     fundamental_character,
     _Packing,
+    _exact,
     _values_inner,
 )
 
@@ -213,19 +214,20 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
     """Sparse columns of T: column j lists (i, T[i][j]) for each T[i][j] != 0.
 
     T[i][j] is the multiplicity of chi_i in chi_V * chi_j (exact,
-    non-negative), computed as <chi_i, chi_V * chi_j>: the table's conjugated
-    rows are the conjugated side, each packed once.
+    non-negative), computed as <chi_i, chi_V * chi_j>, taking each product of
+    a distinct table value's conjugate and a distinct value of some
+    chi_V * chi_j once.
     """
-    table = character_table(G)
+    values = [chi.values for chi in character_table(G)]
     fund = fundamental_character(G).values
-    packing = _Packing(G)
-    rows = packing.pack(*table.conj_rows, weighted=True)
-    prods = packing.pack(*(tuple(x * y for x, y in zip(fund, chi.values)) for chi in table))
+    prods = (tuple(x * y for x, y in zip(fund, row)) for row in values)
+    products, conj_ids, ids = _Packing(G).products(values, prods)
+    rows = [[products[p, cls.size] for p, cls in zip(row, G.classes)] for row in conj_ids]
     columns = []
-    for prod in prods:
+    for prod in ids:
         column = []
         for i, row in enumerate(rows):
-            a = packing.inner(row, prod)
+            a = _exact(products.total(row, prod))
             if a.denominator != 1 or a < 0:
                 raise ConsistencyError(
                     f"tensor multiplicity {a} is not a non-negative integer"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from symsig.cyclotomic import (
     ConsistencyError,
+    PackedProducts,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -310,6 +311,30 @@ class TestPackedSum:
             got = packed_sum(ctx, weights + [1], xs + [ctx.one], ys + [closing])
             assert got == target
 
+    def test_reduced_products_read_the_same_sums(self, m):
+        # PackedProducts sums products reduced mod Phi_m(2^width) one by one;
+        # one more term closes each sum to a known rational.
+        ctx = get_context(m)
+        rng = random.Random(f"packed-products:{m}")
+        for _ in range(12):
+            n = rng.randint(1, 9)
+            weights = [rng.randint(1, 30) for _ in range(n)] + [1]
+            xs = [random_element(ctx, rng) for _ in range(n)] + [ctx.one]
+            ys = [random_element(ctx, rng) for _ in range(n)]
+            target = Fraction(rng.randint(-99, 99), rng.randint(1, 7))
+            ys.append(ctx.rational(target) - plain_sum(ctx, weights, xs, ys))
+            width = (
+                numerator_bits(xs) + numerator_bits(ys)
+                + (sum(weights) * ctx.degree).bit_length() + ctx.headroom
+            )
+            (px, dx), (py, dy) = pack(ctx, xs, width), pack(ctx, ys, width)
+            products = PackedProducts(ctx, px, py, width, dx * dy)
+            rows = [products[k, w] for k, w in enumerate(weights)]
+            assert products.total(rows, range(n + 1)) == target
+            assert products.total(rows[:-1], range(n)) == ctx.packed_sum(
+                weights[:-1], px[:-1], py[:-1], dx * dy, width
+            )
+
     def test_constant_terms_of_rational_sums(self, m):
         ctx = get_context(m)
         xs = [ctx.zeta(k) for k in range(m)]
@@ -350,5 +375,7 @@ def test_packed_sum_detects_overflowing_slots():
     ctx = get_context(4)  # Q(i): phi = 2, so the sum has slots for 1, z, z^2
     x = ctx.from_coeffs([0, 100])
     px, dx = pack(ctx, [x], 4)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="overflows its 4-bit slots"):
         ctx.packed_sum([1], px, px, dx * dx, 4)
+    with pytest.raises(ConsistencyError, match="overflows its 4-bit slots"):
+        PackedProducts(ctx, px, px, 4, dx * dx)[0, 1]

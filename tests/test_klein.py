@@ -1,12 +1,13 @@
 """Group construction, conjugacy classes, and character-table discovery."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from symsig import klein, sympow
-from symsig.cyclotomic import ConsistencyError, CycloContext, CycloElement
+from symsig.cyclotomic import ConsistencyError, CycloContext, CycloElement, PackedProducts
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -408,6 +409,59 @@ class TestOperationCounts:
         sympow._period_rows.__wrapped__(G)
         assert calls == {"packed_sum": 0, "__mul__": 0}
 
+    def test_validate_packs_each_value_once_and_takes_no_packed_sum(self, monkeypatch):
+        table = character_table(build_group.__wrapped__(Cyclic(60, 7)))
+        packed, sums = [], 0
+        pack, packed_sum = CycloContext.pack, CycloContext.packed_sum
+
+        def counted_pack(self, num, width):
+            packed.append((tuple(num), width))
+            return pack(self, num, width)
+
+        def counted_sum(self, *args):
+            nonlocal sums
+            sums += 1
+            return packed_sum(self, *args)
+
+        monkeypatch.setattr(CycloContext, "pack", counted_pack)
+        monkeypatch.setattr(CycloContext, "packed_sum", counted_sum)
+        table.validate()
+        # 60 distinct values and their 60 conjugates (the same set), each
+        # packed once for both relations
+        assert sums == 0
+        assert len(set(packed)) == len(packed) == 60
+
+    def test_residual_re_peel_registers_a_remainder_once_a_later_irreducible_is_found(
+        self, monkeypatch
+    ):
+        # On Q8 the queue first yields chi_a + chi_b (norm 2, kept as a
+        # residual), then chi_b, then runs dry once: the re-peel must strip
+        # chi_b off the residual and register chi_a before the queue resumes.
+        G = build_group(BinaryDihedral(2))
+        linear = [chi.values for chi in character_table(G) if chi.degree == 1][1:]
+        a, b = linear[0], linear[1]
+        script = deque([tuple(x + y for x, y in zip(a, b)), b])
+
+        class Scripted(klein._SeedQueue):
+            dry_once = True
+
+            def __bool__(self):
+                if script:
+                    return True
+                if self.dry_once:
+                    self.dry_once = False
+                    return False
+                return super().__bool__()
+
+            def popleft(self):
+                return (script.popleft(), False) if script else super().popleft()
+
+        monkeypatch.setattr(klein, "_SeedQueue", Scripted)
+        found = klein._discover_table(G)
+        assert found[1:3] == [b, a]
+        table = [chi.values for chi in character_table(G)]
+        assert sorted(found, key=str) == sorted(table, key=str)
+
 
 class TestFundamentalCharacter:
     def test_degree_two(self):
@@ -549,6 +603,71 @@ class TestInnerProductChecks:
             with pytest.raises(ConsistencyError):
                 bad.validate()
 
+    # The messages validate() gave when each Gram entry was its own packed
+    # sum: the rows relation fails first and prints its entry as a Fraction;
+    # None stands for the "not rational" message.
+    PERTURBED = {
+        ("cyclic:60,7", "zeta"): [None, None, None],
+        ("cyclic:60,7", "half"): ["<chi_0, chi_0> = 79/80, expected 1", None,
+                                  "<chi_0, chi_1> = -1/120, expected 0"],
+        ("cyclic:60,7", "wide"): [
+            "<chi_0, chi_0> = 91240018157003656367952598892829199/3, expected 1",
+            None,
+            "<chi_0, chi_1> = 337712929418248022/15, expected 0",
+        ],
+        ("BI", "zeta"): [None, None, None],
+        ("BI", "half"): ["<chi_0, chi_0> = 37/40, expected 1",
+                         "<chi_0, chi_8> = -1/20, expected 0",
+                         "<chi_0, chi_1> = -1/12, expected 0"],
+        ("BI", "wide"): [
+            "<chi_0, chi_0> = 182480036314007312735905197785658393, expected 1",
+            "<chi_0, chi_8> = 675425858836496044/5, expected 0",
+            "<chi_0, chi_1> = 675425858836496044/3, expected 0",
+        ],
+    }
+
+    @pytest.mark.parametrize("change", ["zeta", "half", "wide"])
+    @pytest.mark.parametrize("kind", [Cyclic(60, 7), BinaryIcosahedral], ids=str)
+    def test_validate_messages_on_perturbed_tables(self, kind, change):
+        G = build_group(kind)
+        table = character_table(G)
+        perturb = {
+            "zeta": lambda v: v + G.ctx.zeta(1),
+            "half": lambda v: v * Fraction(1, 2),
+            "wide": lambda v: v * 3 ** 38,
+        }[change]
+        spots = ((0, 1), (len(table) - 1, 1), (1, G.num_classes // 2))
+        for (i, c), message in zip(spots, self.PERTURBED[str(kind), change]):
+            rows = [list(chi.values) for chi in table]
+            rows[i][c] = perturb(rows[i][c])
+            bad = CharacterTable(G, [Character(G, row) for row in rows])
+            with pytest.raises(ConsistencyError) as err:
+                bad.validate()
+            assert str(err.value) == (message or "inner product of class functions "
+                                      "is not rational; inputs are not characters")
+
+    @pytest.mark.parametrize(
+        "kind", [Cyclic(7, 3), Cyclic(12, 5), BinaryDihedral(5), BinaryOctahedral], ids=str
+    )
+    def test_validate_takes_every_gram_entry(self, kind, monkeypatch):
+        G = build_group(kind)
+        table = character_table(G)
+        got = []
+        total = PackedProducts.total
+
+        def recorded(self, rows, ids):
+            got.append(total(self, rows, ids))
+            return got[-1]
+
+        monkeypatch.setattr(PackedProducts, "total", recorded)
+        table.validate()
+        r = G.num_classes
+        rows = [chi.values for chi in table]
+        want = [_plain_inner(G, rows[i], rows[j]) for i in range(r) for j in range(i, r)]
+        cols = list(zip(*rows))
+        want += [_plain_column(G, cols[c], cols[cp]) for c in range(r) for cp in range(c, r)]
+        assert got == want
+
 
 def _plain_inner(G, phi, psi) -> Fraction:
     """Oracle: (1/|G|) sum_c size_c conj(phi_c) psi_c in field arithmetic."""
@@ -556,6 +675,15 @@ def _plain_inner(G, phi, psi) -> Fraction:
     for cls, x, y in zip(G.classes, phi, psi):
         acc = acc + cls.size * (x.conjugate() * y)
     return acc.to_rational() / G.order
+
+
+def _plain_column(G, x, y) -> Fraction | None:
+    """Oracle: (1/|G|) sum_i conj(x_i) y_i in field arithmetic, None if not rational."""
+    acc = G.ctx.zero
+    for a, b in zip(x, y):
+        acc = acc + a.conjugate() * b
+    value = acc.to_rational()
+    return None if value is None else value / G.order
 
 
 class TestPacking:
@@ -597,6 +725,34 @@ class TestPacking:
         assert packing.inner(conj_narrow, plain_narrow) == _plain_inner(G, narrow, narrow)
         assert packing.inner(conj_wide, plain_wide) == _plain_inner(G, wide, wide)
         assert packing.inner(conj_narrow, plain_wide) == _plain_inner(G, narrow, wide)
+
+    @pytest.mark.parametrize(
+        "kind", [Cyclic(7, 3), Cyclic(12, 5), BinaryDihedral(5), BinaryTetrahedral,
+                 BinaryIcosahedral], ids=str
+    )
+    def test_products_match_field_arithmetic(self, kind):
+        # Class functions that are not characters: rational mixtures of the
+        # rows (denominator 3) and one row 3^40 times over.
+        G = build_group(kind)
+        rows = [chi.values for chi in character_table(G)]
+        mixed = [
+            tuple((x + 2 * y) * Fraction(1, 3) for x, y in zip(a, b))
+            for a, b in zip(rows, rows[1:] + rows[:1])
+        ]
+        vectors = rows + mixed + [tuple(3 ** 40 * x for x in rows[-1])]
+        sizes = [cls.size for cls in G.classes]
+        products, left, right = _Packing(G).products(vectors, vectors)
+        for i, x in enumerate(vectors):
+            sums = [products[p, w] for p, w in zip(left[i], sizes)]
+            for j, y in enumerate(vectors):
+                assert products.total(sums, right[j]) == _plain_inner(G, x, y)
+        # Columns of r of the vectors, unweighted; most sums are not rational.
+        columns = list(zip(*vectors[-G.num_classes:]))
+        products, left, right = _Packing(G).products(columns, columns)
+        for c, x in enumerate(columns):
+            sums = [products[p, 1] for p in left[c]]
+            for cp, y in enumerate(columns):
+                assert products.total(sums, right[cp]) == _plain_column(G, x, y)
 
 
 class TestWeightIndices:

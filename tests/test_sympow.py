@@ -1,6 +1,7 @@
 """Symmetric-power characters and decompositions: three routes, one answer."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -179,6 +180,30 @@ class TestDecompose:
                 assert all(t > 0 for _, t in column)
                 assert sum(t * degrees[i] for i, t in column) == 2 * degrees[j]
                 assert len(column) <= (2 if kind.family == "cyclic" else 4)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ("half", "tensor multiplicity 1/2 is not a non-negative integer"),
+            ("negate", "tensor multiplicity -1 is not a non-negative integer"),
+            ("zeta", "inner product of class functions is not rational; "
+                     "inputs are not characters"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [BinaryTetrahedral, BinaryIcosahedral], ids=str)
+    def test_mckay_columns_refuse_a_corrupted_row(self, kind, change, message, monkeypatch):
+        G = build_group(kind)
+        rows = [list(chi.values) for chi in character_table(G)]
+        rows[2] = {
+            "half": lambda row: [v * Fraction(1, 2) for v in row],
+            "negate": lambda row: [-v for v in row],
+            "zeta": lambda row: [row[0] + G.ctx.zeta(1)] + row[1:],
+        }[change](rows[2])
+        bad = CharacterTable(G, [Character(G, row) for row in rows])
+        monkeypatch.setattr(sympow, "character_table", lambda G: bad)
+        with pytest.raises(ConsistencyError) as err:
+            _tensor_matrix(G)
+        assert str(err.value) == message
 
     def test_inner_product_is_symmetric_for_real_multiplicities(self):
         G = build_group(BinaryIcosahedral)

@@ -17,7 +17,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import getitem, mul
+from operator import add, getitem, mul
 
 
 class ConsistencyError(Exception):
@@ -211,7 +211,8 @@ class CycloContext:
         if weights is not None:
             xs = map(mul, weights, xs)
         total = sum(map(mul, xs, ys))
-        return self._value(total, den, width, self._modulus(width, total.bit_length()))
+        r = self._residue(total, width, self._modulus(width, total.bit_length()))
+        return None if r is None else Fraction(r, den)
 
     def _modulus(self, width: int, bits: int) -> int:
         """Phi_m(2^width), once an unreduced packed sum of ``bits`` bits fits its slots."""
@@ -223,10 +224,10 @@ class CycloContext:
         return modulus
 
     @staticmethod
-    def _value(total: int, den: int, width: int, modulus: int) -> Fraction | None:
-        """R(B) / den from total = S(B) mod Phi_m(B), or None (see ``packed_sum``)."""
+    def _residue(total: int, width: int, modulus: int) -> int | None:
+        """R(B) from total = S(B) mod Phi_m(B), or None (see ``packed_sum``)."""
         r = (total + (modulus >> 1)) % modulus - (modulus >> 1)
-        return None if abs(r) >> (width - 2) else Fraction(r, den)
+        return None if abs(r) >> (width - 2) else r
 
     def __repr__(self) -> str:
         return f"CycloContext(m={self.m})"
@@ -240,8 +241,8 @@ def get_context(m: int) -> CycloContext:
 class PackedProducts(dict):
     """Products of packed ints, each reduced mod Phi_m(2^width) once: self[p, w]
     lists w * xs[p] * ys[q] over q.  Evaluation at 2^width is a ring map, so a
-    sum of entries has the residue, and ``total`` the value, that ``packed_sum``
-    finds for the unreduced products at that width.
+    sum of entries has the residue that ``packed_sum`` finds for the unreduced
+    products at that width: ``residue`` returns it, the sum's value times den.
     """
 
     def __init__(self, ctx: CycloContext, xs, ys, width: int, den: int):
@@ -257,10 +258,10 @@ class PackedProducts(dict):
         row = self[key] = [self.xs[p] * y % modulus for y in self.ys]
         return row
 
-    def total(self, rows, ids) -> Fraction | None:
-        """(sum_k rows[k][ids[k]]) / den, or None if it is not rational."""
+    def residue(self, rows, ids) -> int | None:
+        """den times (sum_k rows[k][ids[k]]), or None if the sum is not rational."""
         modulus = self.ctx._moduli[self.width]
-        return self.ctx._value(sum(map(getitem, rows, ids)), self.den, self.width, modulus)
+        return self.ctx._residue(sum(map(getitem, rows, ids)), self.width, modulus)
 
 
 def distinct(vectors) -> tuple[tuple[CycloElement, ...], list[list[int]]]:
@@ -268,6 +269,44 @@ def distinct(vectors) -> tuple[tuple[CycloElement, ...], list[list[int]]]:
     ids = {}
     out = [[ids.setdefault((v.num, v.den), (len(ids), v))[0] for v in vec] for vec in vectors]
     return tuple(v for _, v in ids.values()), out
+
+
+class ValueIds:
+    """Field values numbered by (num, den), so equal values share an id: 0 is
+    zero and 1 is one.  Each sum or product of two ids, and each count
+    vector's value, is built once."""
+
+    def __init__(self, ctx: CycloContext):
+        self.ctx, self.values, self._ids, self._memo = ctx, [], {}, {}
+        self.id(ctx.zero), self.id(ctx.one)
+
+    def id(self, v: "CycloElement") -> int:
+        i = self._ids.setdefault((v.num, v.den), len(self.values))
+        if i == len(self.values):
+            self.values.append(v)
+        return i
+
+    def add(self, i: int, j: int) -> int:
+        return self._memoized(add, i, j) if i and j else i or j
+
+    def mul(self, i: int, j: int) -> int:
+        return self._memoized(mul, i, j) if i > 1 and j > 1 else i * j
+
+    def _memoized(self, op, i: int, j: int) -> int:
+        key = (op, i, j) if i < j else (op, j, i)
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self.id(op(self.values[i], self.values[j]))
+        return r
+
+    def from_counts(self, counts, den: int) -> int:
+        """The id of ``ctx.from_counts(counts, den)``, keyed on its lowest terms."""
+        g = math.gcd(den, *counts)
+        key = (den // g, tuple(n // g for n in counts))
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self.id(self.ctx.from_counts(key[1], key[0]))
+        return r
 
 
 class CycloElement:

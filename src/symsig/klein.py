@@ -20,10 +20,10 @@ SL(2) subgroups; their invariant rings are the classical D and E hypersurfaces
     binary octahedral      (order 48)  : x^3 y + y^3 + z^2
     binary icosahedral     (order 120) : x^5 + y^3 + z^2
 
-Enumeration is the only matrix arithmetic: a breadth-first closure, one
-product per element and generator, which records every element as a word in
-the generators.  Products, inverses, conjugacy classes and cyclic subgroups
-are then worked out on element indices.
+Enumeration is the only matrix arithmetic: a breadth-first closure over
+value ids, one field product per distinct pair of entries, which records
+every element as a word in the generators.  Products, inverses, conjugacy
+classes and cyclic subgroups are then worked out on element indices.
 
 Character tables are computed, never transcribed.  Cyclic tables come from
 the explicit weight characters; the non-abelian families run a tensor-peeling
@@ -53,6 +53,7 @@ from .cyclotomic import (
     CycloContext,
     CycloElement,
     PackedProducts,
+    ValueIds,
     distinct,
     get_context,
 )
@@ -138,10 +139,6 @@ class Matrix2:
     def __init__(self, a: CycloElement, b: CycloElement, c: CycloElement, d: CycloElement):
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @staticmethod
-    def identity(ctx: CycloContext) -> "Matrix2":
-        return Matrix2(ctx.one, ctx.zero, ctx.zero, ctx.one)
-
     def __mul__(self, o: "Matrix2") -> "Matrix2":
         return Matrix2(
             self.a * o.a + self.b * o.c,
@@ -165,12 +162,6 @@ class Matrix2:
             self.a.num, self.a.den, self.b.num, self.b.den,
             self.c.num, self.c.den, self.d.num, self.d.den,
         )
-
-    def __eq__(self, o):
-        return isinstance(o, Matrix2) and self.key() == o.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -311,42 +302,46 @@ def _word_mul(parent, right, h: int, x: int) -> int:
 def build_group(kind: GroupKind) -> KleinGroup:
     """Enumerate the group and its conjugacy classes; hard-validate everything.
 
-    The breadth-first closure is the only place that multiplies matrices (one
-    product per element and generator); inverses and conjugacy classes are
-    then worked out on element indices.
+    The breadth-first closure is the only matrix arithmetic; it runs on value
+    ids, so each product or sum of two distinct entries is taken once.
+    Inverses and conjugacy classes are then worked out on element indices.
     """
     validate_kind(kind)
     target = expected_order(kind)
     ctx = get_context(kind_conductor(kind))
     gens = _generators(kind, ctx)
 
+    # Matrices are 4-tuples of value ids: equal values share an id, so the
+    # tuple is a canonical key, and det = a d - b c is 1 iff a d = b c + 1.
+    ids = ValueIds(ctx)
+    add, mul = ids.add, ids.mul
+    gens = [tuple(map(ids.id, (g.a, g.b, g.c, g.d))) for g in gens]
     in_sl2 = kind.family != "cyclic" or (kind.a + 1) % kind.n == 0
     if in_sl2:
-        for g in gens:
-            if g.det() != ctx.one:
+        for a, b, c, d in gens:
+            if mul(a, d) != add(mul(b, c), 1):
                 raise ConsistencyError(f"generator of {kind} has determinant != 1")
 
     # Breadth-first closure under right multiplication by the generators,
     # recording each element's BFS parent and each generator's
     # right-multiplication permutation.  Elements are visited in the order
     # they are found, so ``elements`` doubles as the queue.
-    identity = Matrix2.identity(ctx)
-    elements = [identity]
-    index = {identity.key(): 0}
+    elements = [(1, 0, 0, 1)]
+    index = {elements[0]: 0}
     parent = [None]
     right = [[] for _ in gens]
     bound = 2 * target
-    for i, x in enumerate(elements):
-        for k, g in enumerate(gens):
-            y = x * g
-            key = y.key()
-            j = index.get(key)
+    for i, (a, b, c, d) in enumerate(elements):
+        for k, (ga, gb, gc, gd) in enumerate(gens):
+            y = (add(mul(a, ga), mul(b, gc)), add(mul(a, gb), mul(b, gd)),
+                 add(mul(c, ga), mul(d, gc)), add(mul(c, gb), mul(d, gd)))
+            j = index.get(y)
             if j is None:
                 if len(elements) >= bound:
                     raise ConsistencyError(
                         f"closure of {kind} exceeded {bound} elements; corrupted generators"
                     )
-                j = index[key] = len(elements)
+                j = index[y] = len(elements)
                 elements.append(y)
                 parent.append((i, k))
             right[k].append(j)
@@ -358,46 +353,45 @@ def build_group(kind: GroupKind) -> KleinGroup:
 
     # Eigenvalue exponents per element come from the diagonal (cyclic case)
     # or from the trace via exhaustive search over roots of unity (SL(2) case,
-    # where the eigenvalues are zeta^e and zeta^-e).
+    # where the eigenvalues are zeta^e and zeta^-e), by value id.
     m = ctx.m
-    monomial_exp = {ctx.zeta(e): e for e in range(m)}
+    monomial_exp = {ids.id(ctx.zeta(e)): e for e in range(m)}
     trace_exp = {}
     for e in range(m // 2 + 1):
-        tau = ctx.zeta(e) + ctx.zeta(-e)
-        trace_exp.setdefault(tau, e)
+        trace_exp.setdefault(ids.id(ctx.zeta(e) + ctx.zeta(-e)), e)
 
-    def eigen_exponents(mat: Matrix2) -> tuple[int, int]:
-        if mat.is_diagonal:
-            e1 = monomial_exp.get(mat.a)
-            e2 = monomial_exp.get(mat.d)
+    element_orders, eigen = [], []
+    for i, (a, b, c, d) in enumerate(elements):
+        if (in_sl2 or b or c) and mul(a, d) != add(mul(b, c), 1):
+            raise ConsistencyError(
+                f"element {i} of {kind} has determinant != 1" if in_sl2
+                else "non-diagonal element outside SL(2)"
+            )
+        if not (b or c):
+            e1, e2 = monomial_exp.get(a), monomial_exp.get(d)
             if e1 is None or e2 is None:
                 raise ConsistencyError("diagonal entry is not a root of unity")
-            return (e1, e2)
-        if mat.det() != ctx.one:
-            raise ConsistencyError("non-diagonal element outside SL(2)")
-        e = trace_exp.get(mat.trace())
-        if e is None:
-            raise ConsistencyError(
-                f"no eigenvalue zeta^j with zeta^j + zeta^-j matching a trace in {kind}"
-            )
-        return (e, (m - e) % m)
-
-    element_orders = []
-    for i, el in enumerate(elements):
-        if in_sl2 and el.det() != ctx.one:
-            raise ConsistencyError(f"element {i} of {kind} has determinant != 1")
-        e1, e2 = eigen_exponents(el)
+        else:
+            e1 = trace_exp.get(add(a, d))
+            if e1 is None:
+                raise ConsistencyError(
+                    f"no eigenvalue zeta^j with zeta^j + zeta^-j matching a trace in {kind}"
+                )
+            e2 = (m - e1) % m
         order = m // math.gcd(m, e1, e2)
         if order == 1 and i != 0:
             raise ConsistencyError(
                 f"non-identity element with both eigenvalues 1 in {kind} (not small)"
             )
         element_orders.append(order)
+        eigen.append((e1, e2))
     if math.lcm(*element_orders) != m:
         raise ConsistencyError(
             f"conductor mismatch for {kind}: field has m={m}, "
             f"element orders give lcm={math.lcm(*element_orders)}"
         )
+    elements = tuple(Matrix2(*(ids.values[v] for v in x)) for x in elements)
+    index = {x.key(): i for i, x in enumerate(elements)}
 
     # Inverses from the words: x = p * g gives x^-1 = g^-1 * p^-1, and g^-1 is
     # the power of g that g maps to the identity.
@@ -418,12 +412,9 @@ def build_group(kind: GroupKind) -> KleinGroup:
     # whole class; g^-1 * x = (x^-1 * g)^-1 makes each map four lookups.
     # Abelian groups skip the orbit search.
     classes: list[ConjugacyClass] = []
-    class_eigen: list[tuple[int, int]] = []
     if kind.family == "cyclic":
         class_of = list(range(target))
-        for i, el in enumerate(elements):
-            classes.append(ConjugacyClass(rep=i, members=(i,), size=1))
-            class_eigen.append(eigen_exponents(el))
+        classes = [ConjugacyClass(rep=i, members=(i,), size=1) for i in range(target)]
     else:
         class_of = [-1] * target
         conjugators = [
@@ -448,7 +439,6 @@ def build_group(kind: GroupKind) -> KleinGroup:
                     raise ConsistencyError("conjugacy orbits are not a partition")
                 class_of[j] = ci
             classes.append(ConjugacyClass(rep=i, members=members, size=len(members)))
-            class_eigen.append(eigen_exponents(elements[i]))
         if sum(c.size for c in classes) != target:
             raise ConsistencyError("conjugacy classes do not partition the group")
     if classes[0].size != 1 or classes[0].rep != 0:
@@ -457,7 +447,7 @@ def build_group(kind: GroupKind) -> KleinGroup:
     return KleinGroup(
         kind=kind,
         ctx=ctx,
-        elements=tuple(elements),
+        elements=elements,
         index=index,
         parent=tuple(parent),
         right=right,
@@ -465,7 +455,7 @@ def build_group(kind: GroupKind) -> KleinGroup:
         element_orders=tuple(element_orders),
         classes=tuple(classes),
         class_of=tuple(class_of),
-        class_eigen=tuple(class_eigen),
+        class_eigen=tuple(eigen[cls.rep] for cls in classes),
         in_sl2=in_sl2,
     )
 
@@ -648,8 +638,9 @@ class _Packing:
     def products(self, lefts, rights) -> tuple[PackedProducts, list, list]:
         """The products of the conjugated distinct values of lefts with the
         distinct values of rights, each packed once, and every vector as ids into
-        its side's values: products.total([products[p, w_k] for p, w_k in
-        zip(left[i], w)], right[j]) is (1/|G|) sum_k w_k conj(lefts[i][k]) rights[j][k].
+        its side's values: products.residue([products[p, w_k] for p, w_k in
+        zip(left[i], w)], right[j]) is products.den times
+        (1/|G|) sum_k w_k conj(lefts[i][k]) rights[j][k].
         """
         (xs, left), (ys, right) = distinct(lefts), distinct(rights)
         x, y = self.pack(tuple(v.conjugate() for v in xs), ys)
@@ -659,7 +650,7 @@ class _Packing:
         return PackedProducts(self.G.ctx, x.ints, y.ints, self.width, den), left, right
 
 
-def _exact(r: Fraction | None) -> Fraction:
+def _exact(r):
     if r is None:
         raise ConsistencyError(
             "inner product of class functions is not rational; inputs are not characters"
@@ -714,22 +705,24 @@ class CharacterTable:
         rows = [chi.values for chi in self.irreducibles]
         sizes = [cls.size for cls in G.classes]
         products, conj_ids, ids = _Packing(G).products(rows, rows)
+        den = products.den  # each entry is compared as its residue, den times its value
         sums = [[products[p, w] for p, w in zip(row, sizes)] for row in conj_ids]
         for i in range(r):
             for j in range(i, r):
-                got = _exact(products.total(sums[i], ids[j]))
+                got = _exact(products.residue(sums[i], ids[j]))
                 want = 1 if i == j else 0
-                if got != want:
-                    raise ConsistencyError(f"<chi_{i}, chi_{j}> = {got}, expected {want}")
+                if got != want * den:
+                    raise ConsistencyError(
+                        f"<chi_{i}, chi_{j}> = {Fraction(got, den)}, expected {want}"
+                    )
         # Column (second) orthogonality, from the same products unweighted:
         # sum_i conj(chi_i(c)) chi_i(c') is |G|/size(c) on the diagonal and 0 off it.
         sums = [[products[p, 1] for p in col] for col in zip(*conj_ids)]
         ids = list(zip(*ids))
         for c in range(r):
             for cp in range(c, r):
-                got = _exact(products.total(sums[c], ids[cp]))
-                want = Fraction(1, sizes[c]) if c == cp else 0
-                if got != want:
+                got = _exact(products.residue(sums[c], ids[cp]))
+                if got != (den // sizes[c] if c == cp else 0):
                     raise ConsistencyError(f"column orthogonality fails at classes ({c}, {cp})")
         # The table separates classes: no two identical columns.
         cols = {tuple(chi.values[c] for chi in self.irreducibles) for c in range(r)}
@@ -777,23 +770,23 @@ def _induced_from_cyclic(G: KleinGroup, c: int):
     irreducible: the restriction of any irreducible to a cyclic subgroup
     contains some linear character, so the irreducible appears in the
     corresponding induced character.
+
+    Each comes as one key per class, built into a value by ``_SeedQueue``:
+    None for 0, (count, d, exponents) for (count / d) * sum of zeta^e over e.
     """
-    ctx = G.ctx
     hit_counts = _subgroup_hits(G, c)
     d = len(hit_counts[0])
     m = G.m
     step = m // d
-    # Only the classes some power of rep_c lies in have a non-zero value.
-    reached = [(cp, hits) for cp, hits in enumerate(hit_counts) if any(hits)]
+    # Only the classes some power of rep_c lies in have a non-zero value;
+    # each such power is hit |G| / |class| times.
+    reached = [(cp, G.order // G.classes[cp].size, [s for s, cnt in enumerate(hits) if cnt])
+               for cp, hits in enumerate(hit_counts) if any(hits)]
     for t in range(d):
-        values = [ctx.zero] * len(hit_counts)
-        for cp, hits in reached:
-            counts = [0] * m
-            for s, cnt in enumerate(hits):
-                if cnt:
-                    counts[(step * t * s) % m] += cnt
-            values[cp] = ctx.from_counts(counts, d)
-        yield tuple(values)
+        keys = [None] * len(hit_counts)
+        for cp, count, powers in reached:
+            keys[cp] = (count, d, tuple(sorted(step * t * s % m for s in powers)))
+        yield keys
 
 
 class _SeedQueue:
@@ -804,14 +797,17 @@ class _SeedQueue:
     only when drawn.  The walk starts from the trivial character, and each
     irreducible registered from a walk vector extends it (``walk``), so it
     steps along the McKay graph and holds at most r + 1 factors; every other
-    factor goes to the tail (``append``).  A seed is built only when drawn.
+    factor goes to the tail (``append``).  A seed is built only when drawn,
+    and each distinct seed value once per queue.
     """
 
-    __slots__ = ("_fund", "_walk", "_seeds", "_left", "_tail")
+    __slots__ = ("_fund", "_walk", "_seeds", "_left", "_tail", "_ids", "_keys")
 
     def __init__(self, G: KleinGroup, fund):
         r = G.num_classes
         self._fund = fund
+        self._ids = ValueIds(G.ctx)
+        self._keys = {None: 0}  # seed value key -> value id
         self._walk = deque([_trivial_values(G)])
         self._seeds = itertools.chain(*(_induced_from_cyclic(G, c) for c in range(r)))
         self._left = sum(G.class_order(c) for c in range(r))
@@ -826,13 +822,23 @@ class _SeedQueue:
     def append(self, chi) -> None:
         self._tail.append(chi)
 
+    def _value(self, key) -> CycloElement:
+        i = self._keys.get(key)
+        if i is None:
+            count, d, exponents = key
+            counts = [0] * self._ids.ctx.m
+            for e in exponents:
+                counts[e] += count
+            i = self._keys[key] = self._ids.from_counts(counts, d)
+        return self._ids.values[i]
+
     def popleft(self):
         """The next vector, and whether it came from the walk."""
         if self._walk:
             chi, walked = self._walk.popleft(), True
         elif self._left:
             self._left -= 1
-            return next(self._seeds), False
+            return tuple(map(self._value, next(self._seeds))), False
         else:
             chi, walked = self._tail.popleft(), False
         return tuple(x * y for x, y in zip(chi, self._fund)), walked

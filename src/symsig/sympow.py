@@ -34,9 +34,10 @@ is kept as `decompose_inner` and serves as the oracle for the fast route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import ConsistencyError, CycloElement
+from .cyclotomic import ConsistencyError, CycloElement, ValueIds
 from .klein import (
     Character,
     KleinGroup,
@@ -214,26 +215,29 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
     """Sparse columns of T: column j lists (i, T[i][j]) for each T[i][j] != 0.
 
     T[i][j] is the multiplicity of chi_i in chi_V * chi_j (exact,
-    non-negative), computed as <chi_i, chi_V * chi_j>, taking each product of
-    a distinct table value's conjugate and a distinct value of some
-    chi_V * chi_j once.
+    non-negative), computed as <chi_i, chi_V * chi_j>.  Each product of a
+    value of chi_V and a table value is taken once, and so is each product
+    of a distinct table value's conjugate and a distinct value of some
+    chi_V * chi_j.
     """
     values = [chi.values for chi in character_table(G)]
-    fund = fundamental_character(G).values
-    prods = (tuple(x * y for x, y in zip(fund, row)) for row in values)
-    products, conj_ids, ids = _Packing(G).products(values, prods)
+    ids = ValueIds(G.ctx)
+    fund = [ids.id(v) for v in fundamental_character(G).values]
+    prods = [[ids.values[ids.mul(f, ids.id(v))] for f, v in zip(fund, row)] for row in values]
+    products, conj_ids, prod_ids = _Packing(G).products(values, prods)
     rows = [[products[p, cls.size] for p, cls in zip(row, G.classes)] for row in conj_ids]
+    den = products.den  # each multiplicity is read as its residue, den times it
     columns = []
-    for prod in ids:
+    for prod in prod_ids:
         column = []
         for i, row in enumerate(rows):
-            a = _exact(products.total(row, prod))
-            if a.denominator != 1 or a < 0:
+            a = _exact(products.residue(row, prod))
+            if a % den or a < 0:
                 raise ConsistencyError(
-                    f"tensor multiplicity {a} is not a non-negative integer"
+                    f"tensor multiplicity {Fraction(a, den)} is not a non-negative integer"
                 )
             if a:
-                column.append((i, int(a)))
+                column.append((i, a // den))
         columns.append(column)
     return columns
 

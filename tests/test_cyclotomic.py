@@ -330,8 +330,9 @@ class TestPackedSum:
             (px, dx), (py, dy) = pack(ctx, xs, width), pack(ctx, ys, width)
             products = PackedProducts(ctx, px, py, width, dx * dy)
             rows = [products[k, w] for k, w in enumerate(weights)]
-            assert products.total(rows, range(n + 1)) == target
-            assert products.total(rows[:-1], range(n)) == ctx.packed_sum(
+            assert Fraction(products.residue(rows, range(n + 1)), dx * dy) == target
+            partial = products.residue(rows[:-1], range(n))
+            assert (None if partial is None else Fraction(partial, dx * dy)) == ctx.packed_sum(
                 weights[:-1], px[:-1], py[:-1], dx * dy, width
             )
 

@@ -209,3 +209,23 @@ def test_tables_mckay_columns_and_period_rows_digest():
         h.update(repr(columns).encode())
         h.update(repr(sympow._period_rows(G)).encode())
     assert h.hexdigest() == TABLES_DIGEST
+
+
+# Captured before the breadth-first closure ran on value ids.
+STRUCTURE_DIGEST = "a24407366e33a99232a6322f21f192cfba0cf486a44ba9e3f90d6bd4b133ffa7"
+
+
+def test_group_structure_digest():
+    """One sha256 over each group's element keys in order, BFS parents,
+    right-multiplication permutations, inverses, class map, class eigenvalue
+    exponents and element orders, for the 109 groups of DIGEST_GROUPS."""
+    h = hashlib.sha256()
+    for kind in DIGEST_GROUPS:
+        G = build_group(kind)
+        h.update(f"{kind}\n".encode())
+        keys = [el.key() for el in G.elements]
+        assert G.index == {key: i for i, key in enumerate(keys)}
+        h.update(repr(keys).encode())
+        for part in (G.parent, G.right, G.inverse, G.class_of, G.class_eigen, G.element_orders):
+            h.update(repr(part).encode())
+    assert h.hexdigest() == STRUCTURE_DIGEST

@@ -105,6 +105,31 @@ class TestConstruction:
             else:
                 assert has
 
+    @pytest.mark.parametrize(
+        "kind,corrupt,message",
+        [
+            (BinaryTetrahedral, lambda gens, ctx: [gens[0], Matrix2(*(2 * v for v in (
+                gens[1].a, gens[1].b, gens[1].c, gens[1].d))), gens[2]],
+             "generator of BT has determinant != 1"),
+            (BinaryTetrahedral, lambda gens, ctx: gens[:2] + [Matrix2(
+                ctx.one, ctx.one, ctx.zero, ctx.one)],
+             "closure of BT exceeded 48 elements; corrupted generators"),
+            (BinaryTetrahedral, lambda gens, ctx: gens[1:2],
+             "BT enumerated 4 elements, expected 24"),
+            (Cyclic(5, 2), lambda gens, ctx: [Matrix2(
+                ctx.zeta(1), ctx.one, ctx.zero, ctx.zeta(2))],
+             "non-diagonal element outside SL(2)"),
+        ],
+    )
+    def test_corrupted_generators_are_refused(self, kind, corrupt, message, monkeypatch):
+        generators = klein._generators
+        monkeypatch.setattr(
+            klein, "_generators", lambda kind, ctx: corrupt(generators(kind, ctx), ctx)
+        )
+        with pytest.raises(ConsistencyError) as err:
+            build_group.__wrapped__(kind)
+        assert str(err.value) == message
+
     def test_invalid_kinds_rejected(self):
         with pytest.raises(ValueError):
             build_group(Cyclic(4, 2))
@@ -239,12 +264,85 @@ class TestOperationCounts:
 
         monkeypatch.setattr(Matrix2, "__mul__", counted)
         G = build_group.__wrapped__(kind)  # a cold build, past the cache
-        # one product per element and generator; the generator and element
-        # checks use determinants and traces, not products
+        # the closure multiplies value ids, not matrices
         assert calls <= len(G.right) * G.order
         calls = 0
         character_table(G)
         assert calls == 0
+
+    @pytest.mark.parametrize("kind", [BinaryIcosahedral, BinaryDihedral(12)], ids=str)
+    def test_closure_multiplies_each_distinct_entry_pair_once(self, kind, monkeypatch):
+        calls = {"setup": 0, "build": 0}
+        phase = "build"
+        mul, generators = CycloElement.__mul__, klein._generators
+
+        def counted_mul(self, other):
+            calls[phase] += 1
+            return mul(self, other)
+
+        def counted_generators(kind, ctx):
+            nonlocal phase
+            phase = "setup"
+            try:
+                return generators(kind, ctx)
+            finally:
+                phase = "build"
+
+        monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
+        monkeypatch.setattr(klein, "_generators", counted_generators)
+        G = build_group.__wrapped__(kind)
+        monkeypatch.undo()
+        gens = generators(kind, G.ctx)
+        pairs = set()
+        for x in G.elements:
+            # the entry products of x * g for every generator g, and of det x
+            operands = [(x.a, x.d), (x.b, x.c)]
+            for g in gens:
+                operands += [(x.a, g.a), (x.b, g.c), (x.a, g.b), (x.b, g.d),
+                             (x.c, g.a), (x.d, g.c), (x.c, g.b), (x.d, g.d)]
+            pairs.update(
+                frozenset([(p.num, p.den), (q.num, q.den)]) for p, q in operands if p and q
+            )
+        assert 0 < calls["build"] <= len(pairs)
+        if kind == BinaryIcosahedral:
+            # 3,398 when the closure took every Matrix2 product
+            assert sum(calls.values()) <= 250
+
+    def test_discovery_builds_each_distinct_induced_value_once(self, monkeypatch):
+        G = build_group.__wrapped__(BinaryDihedral(30))
+        fundamental_character(G)
+        drawn = [0] * G.num_classes  # seeds drawn per class, t = 0, 1, ... in order
+        calls = 0
+        induce, from_counts = klein._induced_from_cyclic, CycloContext.from_counts
+
+        def counted_seeds(G, c):
+            for vec in induce(G, c):
+                drawn[c] += 1
+                yield vec
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return from_counts(self, *args)
+
+        monkeypatch.setattr(klein, "_induced_from_cyclic", counted_seeds)
+        monkeypatch.setattr(CycloContext, "from_counts", counted)
+        klein._discover_table(G)
+        monkeypatch.undo()
+        values = set()
+        for c, n in enumerate(drawn):
+            # Oracle: value (1/d) sum_s hits[c'][s] zeta^(t s m / d) on class c'
+            hits = _subgroup_hits(G, c)
+            d = len(hits[0])
+            for t in range(n):
+                for row in hits:
+                    counts = [0] * G.m
+                    for s, cnt in enumerate(row):
+                        counts[t * s * (G.m // d) % G.m] += cnt
+                    v = G.ctx.from_counts(counts, d)
+                    values.add((v.num, v.den))
+        # 1,870 calls when every reached class of every drawn seed took one
+        assert 0 < calls <= len(values)
 
     def test_discovery_builds_only_the_seeds_it_reads(self, monkeypatch):
         built = 0
@@ -374,9 +472,10 @@ class TestOperationCounts:
         monkeypatch.setattr(CycloContext, "from_counts", counted)
         G = build_group(BinaryDihedral(12))
         for c in range(G.num_classes):
-            for _ in klein._induced_from_cyclic(G, c):
+            for keys in klein._induced_from_cyclic(G, c):
                 # the powers of rep_c lie in at most order(rep_c) classes
                 assert calls <= G.class_order(c)
+                assert sum(key is not None for key in keys) <= G.class_order(c)
                 calls = 0
 
     def test_cyclic_table_conjugates_once_per_distinct_value(self, monkeypatch):
@@ -653,13 +752,14 @@ class TestInnerProductChecks:
         G = build_group(kind)
         table = character_table(G)
         got = []
-        total = PackedProducts.total
+        residue = PackedProducts.residue
 
         def recorded(self, rows, ids):
-            got.append(total(self, rows, ids))
-            return got[-1]
+            r = residue(self, rows, ids)
+            got.append(None if r is None else Fraction(r, self.den))
+            return r
 
-        monkeypatch.setattr(PackedProducts, "total", recorded)
+        monkeypatch.setattr(PackedProducts, "residue", recorded)
         table.validate()
         r = G.num_classes
         rows = [chi.values for chi in table]
@@ -684,6 +784,12 @@ def _plain_column(G, x, y) -> Fraction | None:
         acc = acc + a.conjugate() * b
     value = acc.to_rational()
     return None if value is None else value / G.order
+
+
+def _total(products, rows, ids) -> Fraction | None:
+    """The value of a sum of product-table entries, None if it is not rational."""
+    r = products.residue(rows, ids)
+    return None if r is None else Fraction(r, products.den)
 
 
 class TestPacking:
@@ -745,14 +851,14 @@ class TestPacking:
         for i, x in enumerate(vectors):
             sums = [products[p, w] for p, w in zip(left[i], sizes)]
             for j, y in enumerate(vectors):
-                assert products.total(sums, right[j]) == _plain_inner(G, x, y)
+                assert _total(products, sums, right[j]) == _plain_inner(G, x, y)
         # Columns of r of the vectors, unweighted; most sums are not rational.
         columns = list(zip(*vectors[-G.num_classes:]))
         products, left, right = _Packing(G).products(columns, columns)
         for c, x in enumerate(columns):
             sums = [products[p, 1] for p in left[c]]
             for cp, y in enumerate(columns):
-                assert products.total(sums, right[cp]) == _plain_column(G, x, y)
+                assert _total(products, sums, right[cp]) == _plain_column(G, x, y)
 
 
 class TestWeightIndices:

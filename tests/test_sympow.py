@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symsig import sympow
-from symsig.cyclotomic import ConsistencyError
+from symsig.cyclotomic import ConsistencyError, CycloElement
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -204,6 +204,24 @@ class TestDecompose:
         with pytest.raises(ConsistencyError) as err:
             _tensor_matrix(G)
         assert str(err.value) == message
+
+    def test_mckay_matrix_multiplies_each_distinct_value_pair_once(self, monkeypatch):
+        G = build_group(BinaryDihedral(22))
+        table = character_table(G)
+        fund = fundamental_character(G).values
+        pairs = {(f.num, f.den, v.num, v.den) for chi in table for f, v in zip(fund, chi.values)}
+        calls = 0
+        mul = CycloElement.__mul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(CycloElement, "__mul__", counted)
+        _tensor_matrix(G)
+        # 625 products when each fund * chi_j was taken value by value
+        assert 0 < calls <= len(pairs)
 
     def test_inner_product_is_symmetric_for_real_multiplicities(self):
         G = build_group(BinaryIcosahedral)

@@ -288,7 +288,7 @@ def cmd_elliptic(args) -> Report:
         rep = Report(title="differential symmetric signature partial sums (elliptic cone)")
         rep.meta = [("limit", "0"), ("closed_form", "2/((N+1)(N+2))")]
         sec, value = Section("partial_sums", ["N", "exact", "decimal"]), dsigma_partial
-    elif which == "bound":
+    else:
         rep = Report(title="upper bound for the syzygy symmetric signature (elliptic cone)")
         rep.meta = [
             ("syzygy_bundle_rank", str(rank(SYZYGY_BUNDLE))),
@@ -298,8 +298,6 @@ def cmd_elliptic(args) -> Report:
             ("exact_value", "unknown"),
         ]
         sec, value = Section("bounds", ["N", "exact", "decimal"]), sigma_upper_bound
-    else:
-        raise UsageError(f"unknown elliptic subcommand {which!r}")
     for h in _horizon_ladder(N, 1):
         v = value(h)
         sec.rows.append([str(h), _frac(v), _dec(v)])

@@ -196,20 +196,18 @@ class CycloContext:
             v = (v << width) + a
         return v
 
-    def packed_sum(self, weights, xs, ys, den: int, width: int) -> Fraction | None:
-        """(sum_k weights[k] * x_k * y_k) / den over packed xs and ys (see ``pack``).
+    def packed_sum(self, xs, ys, den: int, width: int) -> Fraction | None:
+        """(sum_k x_k * y_k) / den over packed xs and ys (see ``pack``).
 
-        ``weights`` is None when they are folded into xs.  The big-int sum is
-        S(B), B = 2^width, for the unreduced sum S(z); evaluation at B maps
-        Z[z]/Phi_m into Z/Phi_m(B).  If every coefficient of S is below
-        2^(width - headroom) in absolute value, those of R = S mod Phi_m are
-        below B/4 and B > 2 * max|Phi_m coeff| + 2, so the signed residue of
-        S(B) mod Phi_m(B) is R(B), and R is rational iff it is below B/4 (a
-        non-constant R lies 3B/4 or more from 0, so a constant overrunning B/4
-        by less than B/2 cannot pass either).  Returns the sum, or None.
+        The big-int sum is S(B), B = 2^width, for the unreduced sum S(z);
+        evaluation at B maps Z[z]/Phi_m into Z/Phi_m(B).  If every coefficient
+        of S is below 2^(width - headroom) in absolute value, those of
+        R = S mod Phi_m are below B/4 and B > 2 * max|Phi_m coeff| + 2, so the
+        signed residue of S(B) mod Phi_m(B) is R(B), and R is rational iff it
+        is below B/4 (a non-constant R lies 3B/4 or more from 0, so a constant
+        overrunning B/4 by less than B/2 cannot pass either).  Returns the
+        sum, or None.
         """
-        if weights is not None:
-            xs = map(mul, weights, xs)
         total = sum(map(mul, xs, ys))
         r = self._residue(total, width, self._modulus(width, total.bit_length()))
         return None if r is None else Fraction(r, den)
@@ -339,8 +337,6 @@ class CycloElement:
         if g > 1:
             den //= g
             num = [v // g for v in num]
-        if den != 1 and not any(num):
-            den = 1
         return CycloElement(ctx, num, den)
 
     # -- views ------------------------------------------------------------

@@ -53,13 +53,6 @@ class BundleAtom:
             return self.rank * CURVE_DEGREE * self.data
         return self.data
 
-    def __str__(self):
-        if self.variant == "line":
-            return f"O({self.data})"
-        if self.variant == "atiyah":
-            return f"F{self.rank}({self.data})"
-        return f"S({self.rank},{self.data})"
-
 
 def LineTwist(k: int) -> BundleAtom:
     """O_Y(k): rank 1, degree 3k."""
@@ -99,9 +92,6 @@ class BundleExpr:
 
     def __add__(self, other: "BundleExpr") -> "BundleExpr":
         return BundleExpr(self.atoms + other.atoms)
-
-    def __str__(self):
-        return " + ".join(str(a) for a in self.atoms) if self.atoms else "0"
 
 
 def bundle(*atoms: BundleAtom) -> BundleExpr:
@@ -144,9 +134,6 @@ class FreeRank:
 
     value: int
     exact: bool
-
-    def __int__(self):
-        return self.value
 
 
 def free_rank(e) -> FreeRank:

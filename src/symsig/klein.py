@@ -35,7 +35,9 @@ as one norm-3 remainder), so the loop then draws characters induced from the
 cyclic subgroups generated by class representatives, class by class, and
 last fund times the other irreducibles and the remainders.  Seeds and
 products are built only when drawn, and a vector drawn twice is peeled once,
-so discovery peels about r vectors.  Every table is validated against both
+so discovery peels about r vectors.  It ends once r irreducibles are
+registered; a queue that runs dry first, or a draw budget of 60 r^2 that runs
+out, raises ConsistencyError.  Every table is validated against both
 orthogonality relations before it is returned.
 """
 
@@ -483,21 +485,6 @@ class Character:
             raise ConsistencyError(f"character degree {d!r} is not a positive integer")
         return int(d)
 
-    def __mul__(self, other: "Character") -> "Character":
-        if other.group is not self.group:
-            raise ValueError("characters belong to different groups")
-        return Character(self.group, tuple(x * y for x, y in zip(self.values, other.values)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Character)
-            and self.group is other.group
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.values))
-
     def sort_key(self) -> "_TableOrder":
         """Table order: degree, then the values class by class, each by its
         power-basis coefficients."""
@@ -633,7 +620,7 @@ class _Packing:
             if p.width != self.width:
                 self._fill(p)
         den = x.den * y.den * self.G.order
-        return _exact(self.G.ctx.packed_sum(None, x.ints, y.ints, den, self.width))
+        return _exact(self.G.ctx.packed_sum(x.ints, y.ints, den, self.width))
 
     def products(self, lefts, rights) -> tuple[PackedProducts, list, list]:
         """The products of the conjugated distinct values of lefts with the
@@ -886,65 +873,36 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     conj = {}  # (num, den) -> conjugate, for every value conjugated in this run
     conj_trivial, = packing.pack(_conj(trivial, conj), weighted=True)
     found = [(trivial, conj_trivial)]
-    residuals: list[tuple[CycloElement, ...]] = []
     queue = _SeedQueue(G, fund)
     peeled = set()  # the (num, den) tuples of every vector peeled from the queue
     budget = 60 * r * r
-
-    def try_register(vec, packed) -> bool:
-        """Register vec (packed is its packing) as an irreducible if it has norm 1."""
+    processed = 0
+    while queue and len(found) < r:
+        processed += 1
+        if processed > budget:
+            raise ConsistencyError(f"character discovery for {G.kind} exceeded its budget")
+        vec, walked = queue.popleft()
+        key = tuple((v.num, v.den) for v in vec)
+        if key in peeled:
+            continue
+        peeled.add(key)
+        vec, packed = _peel(packing, vec, found)
+        if all(v.is_zero for v in vec):
+            continue
         conj_vec, = packing.pack(_conj(vec, conj), weighted=True)
-        if packing.inner(conj_vec, packed) != 1:
-            return False
+        if packing.inner(conj_vec, packed) != 1:  # not an irreducible: multiply it later
+            queue.append(vec)
+            continue
         deg = vec[0].to_rational()
         if deg is None or deg.denominator != 1 or deg <= 0:
             raise ConsistencyError(f"norm-1 remainder with bad degree {deg!r}")
         found.append((vec, conj_vec))
-        return True
-
-    processed = 0
-    while len(found) < r:
-        made_progress = False
-        while queue and len(found) < r:
-            processed += 1
-            if processed > budget:
-                raise ConsistencyError(
-                    f"character discovery for {G.kind} exceeded its budget"
-                )
-            vec, walked = queue.popleft()
-            key = tuple((v.num, v.den) for v in vec)
-            if key in peeled:
-                continue
-            peeled.add(key)
-            vec, packed = _peel(packing, vec, found)
-            if all(v.is_zero for v in vec):
-                continue
-            if try_register(vec, packed):
-                made_progress = True
-                (queue.walk if walked else queue.append)(vec)
-            else:
-                residuals.append(vec)
-                queue.append(vec)
-        # Re-peel stashed remainders against the irreducibles found since;
-        # any norm-1 remainder is an irreducible.
-        kept = []
-        for vec in residuals:
-            if len(found) == r:
-                break
-            vec, packed = _peel(packing, vec, found)
-            if all(v.is_zero for v in vec):
-                continue
-            if try_register(vec, packed):
-                made_progress = True
-                queue.append(vec)
-            else:
-                kept.append(vec)
-        residuals = kept
-        if not made_progress and not queue:
-            raise ConsistencyError(
-                f"character discovery stalled for {G.kind}: "
-                f"{len(found)} of {r} irreducibles found"
-            )
+        (queue.walk if walked else queue.append)(vec)
+    if len(found) < r:
+        raise ConsistencyError(
+            f"character discovery stalled for {G.kind}: "
+            f"{len(found)} of {r} irreducibles found"
+        )
     return [vec for vec, _ in found]
 
 

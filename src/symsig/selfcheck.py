@@ -1,14 +1,16 @@
-"""Fast cross-oracle suites, runnable from the CLI before any command.
+"""Cross-oracle checks, one implementation each, at the sizes the caller gives.
 
-Each suite pits independent computation paths against each other on a small
-fixed panel of groups; any disagreement raises ConsistencyError.  The full
-test suite runs the same comparisons at much larger sizes — this module is
-the quick in-binary version.
+Each check pits independent computation paths against each other and raises
+ConsistencyError, naming the group (or field) and q, on the first
+disagreement.  ``SUITES`` binds the four checks to small sizes and
+``--selfcheck`` runs them before any command; the acceptance gate and the
+unit tests call the same functions on larger panels.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .cyclotomic import ConsistencyError, cyclotomic_polynomial, get_context
 from .klein import (
@@ -27,11 +29,11 @@ from .sympow import (
     sym_character_series,
 )
 
-_PANEL = (Cyclic(5, 2), Cyclic(6, 5), BinaryDihedral(3), BinaryTetrahedral)
 
-
-def _check_cyclotomic() -> None:
-    for m in (12, 60):
+def check_cyclotomic(poly_conductors, axiom_conductors, draws: int) -> None:
+    """Phi products for each m in poly_conductors; field axioms on ``draws``
+    triples of random elements (seeded by m) for each m in axiom_conductors."""
+    for m in poly_conductors:
         prod = [1]
         for d in range(1, m + 1):
             if m % d == 0:
@@ -41,60 +43,77 @@ def _check_cyclotomic() -> None:
                     for j, b in enumerate(phi):
                         out[i + j] += a * b
                 prod = out
-        expect = [-1] + [0] * (m - 1) + [1]
-        if prod != expect:
+        if prod != [-1] + [0] * (m - 1) + [1]:
             raise ConsistencyError(f"product of cyclotomic polynomials fails at m={m}")
-    rng = random.Random(20260816)
-    ctx = get_context(24)
-    for _ in range(25):
-        x = ctx.from_coeffs([rng.randint(-9, 9) for _ in range(ctx.degree)])
-        y = ctx.from_coeffs([rng.randint(-9, 9) for _ in range(ctx.degree)])
-        if (x + y) * (x + y) != x * x + 2 * (x * y) + y * y:
-            raise ConsistencyError("ring identity failed in Q(zeta_24)")
-        if not x.is_zero and x * x.inv() != ctx.one:
-            raise ConsistencyError("inverse failed in Q(zeta_24)")
+    for m in axiom_conductors:
+        ctx = get_context(m)
+        rng = random.Random(1000 + m)
+
+        def draw():
+            return ctx.from_coeffs(
+                [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(ctx.degree)]
+            )
+
+        for _ in range(draws):
+            x, y, z = draw(), draw(), draw()
+            axioms = (
+                ("associativity of +", (x + y) + z == x + (y + z)),
+                ("associativity of *", (x * y) * z == x * (y * z)),
+                ("distributivity", x * (y + z) == x * y + x * z),
+                ("commutativity", x * y == y * x),
+                ("identities", x + ctx.zero == x and x * ctx.one == x),
+                ("inverse", x.is_zero or x * x.inv() == ctx.one),
+                ("conjugation", (x * y).conjugate() == x.conjugate() * y.conjugate()),
+            )
+            for name, holds in axioms:
+                if not holds:
+                    raise ConsistencyError(f"{name} fails in Q(zeta_{m})")
 
 
-def _check_characters() -> None:
-    for kind in _PANEL:
+def check_characters(kinds, q_max: int) -> None:
+    """Recurrence, eigenvalue and Molien characters of Sym^q, q <= q_max."""
+    for kind in kinds:
         G = build_group(kind)
-        character_table(G).validate()
-        series = sym_character_series(G, 16)
-        molien = [molien_coefficients(G, c, 16) for c in range(G.num_classes)]
-        for q in range(17):
-            eig = sym_character_eigen(G, q)
-            if series[q].values != eig.values:
-                raise ConsistencyError(f"recurrence != eigen oracle at {kind}, q={q}")
-            for c in range(G.num_classes):
-                if molien[c][q] != series[q].values[c]:
+        character_table(G)  # validated before it is cached
+        series = sym_character_series(G, q_max)
+        for c in range(G.num_classes):
+            molien = molien_coefficients(G, c, q_max)
+            for q in range(q_max + 1):
+                if molien[q] != series[q].values[c]:
                     raise ConsistencyError(f"Molien oracle disagrees at {kind}, q={q}")
+        for q in range(q_max + 1):
+            if sym_character_eigen(G, q).values != series[q].values:
+                raise ConsistencyError(f"recurrence != eigen oracle at {kind}, q={q}")
 
 
-def _check_monomial_oracle() -> None:
-    for n, a in ((2, 1), (3, 2), (5, 2), (6, 5)):
+def check_monomial(pairs, qs) -> None:
+    """Multiplicities of Sym^q on cyclic:n,a against monomial weight counts."""
+    for n, a in pairs:
         G = build_group(Cyclic(n, a))
         idx = cyclic_weight_indices(G)
-        rows = multiplicity_series(G, 32)
-        for q in range(33):
+        rows = multiplicity_series(G, max(qs))
+        for q in qs:
             counts = monomial_weights(n, a, q).counts
             for s in range(n):
                 if counts[s] != rows[q][idx[s]]:
-                    raise ConsistencyError(
-                        f"monomial oracle disagrees at n={n}, a={a}, q={q}, s={s}"
-                    )
+                    raise ConsistencyError(f"monomial oracle disagrees at {G.kind}, q={q}, s={s}")
 
 
-def _check_syzygies() -> None:
-    for n in range(2, 6):
+def check_syzygies(ns) -> None:
+    """Syzygy relations and equivariance on cyclic:n,n-1 for each n."""
+    for n in ns:
         if not syzygy_action_check(n).passed:
             raise ConsistencyError(f"syzygy check failed at n={n}")
 
 
+_PANEL = (Cyclic(5, 2), Cyclic(6, 5), BinaryDihedral(3), BinaryTetrahedral)
+
 SUITES = (
-    ("cyclotomic field axioms", _check_cyclotomic),
-    ("triple character oracles", _check_characters),
-    ("monomial weight oracle", _check_monomial_oracle),
-    ("syzygy relations", _check_syzygies),
+    ("cyclotomic field axioms", lambda: check_cyclotomic((12, 60), (24,), 25)),
+    ("triple character oracles", lambda: check_characters(_PANEL, 16)),
+    ("monomial weight oracle",
+     lambda: check_monomial(((2, 1), (3, 2), (5, 2), (6, 5)), range(33))),
+    ("syzygy relations", lambda: check_syzygies(range(2, 6))),
 )
 
 

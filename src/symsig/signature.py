@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import ConsistencyError
-from .klein import Character, KleinGroup, character_table, fundamental_character
+from .klein import KleinGroup, character_table, fundamental_character
 from .sympow import _multiplicity_column
 
 #: Multiplied into the floating-point part of every error bound so that

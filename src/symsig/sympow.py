@@ -128,14 +128,19 @@ def _eigen_pair_search(G: KleinGroup, c: int) -> tuple[int, int]:
     return (found[0], found[1])
 
 
+@lru_cache(maxsize=None)
+def _eigen_pairs(G: KleinGroup) -> tuple[tuple[int, int], ...]:
+    """The searched eigenvalue exponents of every class, once per group."""
+    return tuple(_eigen_pair_search(G, c) for c in range(G.num_classes))
+
+
 def sym_character_eigen(G: KleinGroup, q: int) -> Character:
     """Independent oracle: evaluate sum_t lambda_1^t lambda_2^(q-t) directly."""
     if q < 0:
         raise ValueError("q must be non-negative")
     m = G.m
     values = []
-    for c in range(G.num_classes):
-        e1, e2 = _eigen_pair_search(G, c)
+    for e1, e2 in _eigen_pairs(G):
         counts = [0] * m
         for t in range(q + 1):
             counts[(e1 * t + e2 * (q - t)) % m] += 1

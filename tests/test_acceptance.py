@@ -2,10 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to stream the
 [PASS]/[FAIL] lines as they happen; they are replayed in the summary either
-way).
+way).  Criteria 3, 5, 7 and 8 run the cross-oracle checks of
+``symsig.selfcheck`` that ``--selfcheck`` runs, on larger panels.
 """
 
-import random
 import subprocess
 import sys
 import time
@@ -23,23 +23,17 @@ from symsig import (
     MonomialVector,
     build_group,
     character_table,
-    cyclic_weight_indices,
-    cyclotomic_polynomial,
     dsigma_partial,
     get_context,
     inner_product,
-    molien_coefficients,
-    monomial_weights,
-    multiplicity_series,
     oscillation_gap,
     relation_holds,
     sigma_upper_bound,
     signature_partial,
-    sym_character_eigen,
-    sym_character_series,
     sym_syzygy_free_rank_bound,
-    syzygy_action_check,
 )
+from symsig.cyclotomic import ConsistencyError
+from symsig.selfcheck import check_characters, check_cyclotomic, check_monomial, check_syzygies
 
 SIGNATURE_PANEL = (
     tuple(Cyclic(n, n - 1) for n in range(2, 9))
@@ -67,6 +61,16 @@ TABLE_PANEL = (
     BinaryOctahedral,
     BinaryIcosahedral,
 )
+
+
+def passes(check, *args) -> bool:
+    """Run one shared selfcheck function; print its message if it fails."""
+    try:
+        check(*args)
+    except ConsistencyError as exc:
+        print(exc)
+        return False
+    return True
 
 
 def test_criterion_01_trivial_summand_signature(acceptance_report):
@@ -103,19 +107,10 @@ def test_criterion_02_every_irreducible_within_bound(acceptance_report):
 
 
 def test_criterion_03_three_oracles_agree(acceptance_report):
-    ok = True
-    for kind in ORACLE_PANEL:
-        G = build_group(kind)
-        rec = sym_character_series(G, 64)
-        for c in range(G.num_classes):
-            mol = molien_coefficients(G, c, 64)
-            ok = ok and all(rec[q].values[c] == mol[q] for q in range(65))
-        for q in range(65):
-            ok = ok and sym_character_eigen(G, q).values == rec[q].values
     acceptance_report(
         "criterion 3: recurrence, eigenvalue, and power-series oracles agree "
         "exactly on all classes, all five families, q <= 64",
-        ok,
+        passes(check_characters, ORACLE_PANEL, 64),
     )
 
 
@@ -148,23 +143,11 @@ def test_criterion_04_character_table_integrity(acceptance_report):
 
 
 def test_criterion_05_cyclic_weights_equal_multiplicities(acceptance_report):
-    ok = True
-    for n in range(2, 13):
-        for a in range(1, n):
-            if gcd(a, n) != 1:
-                continue
-            G = build_group(Cyclic(n, a))
-            idx = cyclic_weight_indices(G)
-            rows = multiplicity_series(G, 256)
-            for q in range(257):
-                w = monomial_weights(n, a, q)
-                ok = ok and all(
-                    rows[q][idx[s]] == w.counts[s] for s in range(n)
-                )
+    pairs = [(n, a) for n in range(2, 13) for a in range(1, n) if gcd(a, n) == 1]
     acceptance_report(
         "criterion 5: representation multiplicities equal monomial weight "
         "counts exactly, n <= 12, every unit weight, q <= 256",
-        ok,
+        passes(check_monomial, pairs, range(257)),
     )
 
 
@@ -183,7 +166,7 @@ def test_criterion_06_oscillation_gap(acceptance_report):
 
 
 def test_criterion_07_syzygy_equivariance(acceptance_report):
-    ok = all(syzygy_action_check(n).passed for n in range(2, 13))
+    ok = passes(check_syzygies, range(2, 13))
     for n in (3, 7, 12):
         ctx = get_context(n)
         bad = MonomialVector.from_polys(
@@ -198,48 +181,10 @@ def test_criterion_07_syzygy_equivariance(acceptance_report):
 
 
 def test_criterion_08_cyclotomic_foundations(acceptance_report):
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return tuple(out)
-
-    ok = True
-    for m in range(1, 121):
-        prod = (1,)
-        for d in range(1, m + 1):
-            if m % d == 0:
-                prod = poly_mul(prod, cyclotomic_polynomial(d))
-        expect = (-1,) + (0,) * (m - 1) + (1,)
-        ok = ok and prod == expect
-
-    for m in (12, 24, 60):
-        ctx = get_context(m)
-        rng = random.Random(1000 + m)
-        dim = len(ctx.one.num)
-
-        def draw():
-            coeffs = [
-                Fraction(rng.randint(-30, 30), rng.randint(1, 6))
-                for _ in range(dim)
-            ]
-            return ctx.from_coeffs(coeffs)
-
-        for _ in range(1000):
-            x, y, z = draw(), draw(), draw()
-            ok = ok and (x + y) + z == x + (y + z)
-            ok = ok and (x * y) * z == x * (y * z)
-            ok = ok and x * (y + z) == x * y + x * z
-            ok = ok and x * y == y * x
-            ok = ok and x + ctx.zero == x and x * ctx.one == x
-            if not x.is_zero:
-                ok = ok and x * x.inv() == ctx.one
-            ok = ok and (x * y).conjugate() == x.conjugate() * y.conjugate()
     acceptance_report(
         "criterion 8: cyclotomic polynomial products for m <= 120 and field "
         "axioms on 1000 random elements per conductor m in {12, 24, 60}",
-        ok,
+        passes(check_cyclotomic, range(1, 121), (12, 24, 60), 1000),
     )
 
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import symsig.cli as cli
+from symsig import selfcheck
 from symsig.cyclotomic import ConsistencyError
 
 
@@ -66,6 +67,15 @@ class TestExitCodes:
 
     def test_usage_error_on_unknown_subcommand(self):
         assert run("frobnicate")[0] == 2
+
+    def test_usage_error_on_unknown_elliptic_subcommand(self):
+        code, out, err = run("elliptic", "foo")
+        assert code == 2 and not out and "invalid choice" in err
+
+    @pytest.mark.parametrize("argv", [("signature", "BT"), ("elliptic", "dsigma")])
+    def test_usage_error_on_zero_horizon(self, argv):
+        code, out, err = run(*argv, "--horizon", "0")
+        assert code == 2 and not out and err == "error: --horizon must be at least 1\n"
 
     @pytest.mark.parametrize("argv", [("table", "BT"), ("decompose", "BT", "3")])
     def test_usage_error_on_horizon_without_a_sum(self, argv):
@@ -221,3 +231,9 @@ class TestSelfcheck:
         assert code == 0
         assert err.count("ok") == 4
         assert "selfcheck" not in out
+
+    def test_a_corrupted_oracle_fails_before_the_command(self, monkeypatch):
+        monkeypatch.setattr(selfcheck, "molien_coefficients", lambda G, c, n: [G.ctx.zero] * (n + 1))
+        code, out, err = run("table", "BT", "--selfcheck")
+        assert code == 1 and out == ""
+        assert err.startswith("internal consistency failure: ") and err.count("\n") == 1

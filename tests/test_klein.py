@@ -530,36 +530,26 @@ class TestOperationCounts:
         assert sums == 0
         assert len(set(packed)) == len(packed) == 60
 
-    def test_residual_re_peel_registers_a_remainder_once_a_later_irreducible_is_found(
-        self, monkeypatch
-    ):
-        # On Q8 the queue first yields chi_a + chi_b (norm 2, kept as a
-        # residual), then chi_b, then runs dry once: the re-peel must strip
-        # chi_b off the residual and register chi_a before the queue resumes.
+    def test_a_dry_queue_stalls_discovery(self, monkeypatch):
+        # On Q8 the queue yields chi_a + chi_b (norm 2, not an irreducible)
+        # and then runs dry: discovery refuses to return a partial table.
         G = build_group(BinaryDihedral(2))
         linear = [chi.values for chi in character_table(G) if chi.degree == 1][1:]
-        a, b = linear[0], linear[1]
-        script = deque([tuple(x + y for x, y in zip(a, b)), b])
+        script = deque([tuple(x + y for x, y in zip(linear[0], linear[1]))])
 
         class Scripted(klein._SeedQueue):
-            dry_once = True
-
             def __bool__(self):
-                if script:
-                    return True
-                if self.dry_once:
-                    self.dry_once = False
-                    return False
-                return super().__bool__()
+                return bool(script)
 
             def popleft(self):
-                return (script.popleft(), False) if script else super().popleft()
+                return script.popleft(), False
 
         monkeypatch.setattr(klein, "_SeedQueue", Scripted)
-        found = klein._discover_table(G)
-        assert found[1:3] == [b, a]
-        table = [chi.values for chi in character_table(G)]
-        assert sorted(found, key=str) == sorted(table, key=str)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"character discovery stalled for BD:2: 1 of 5 irreducibles found",
+        ):
+            klein._discover_table(G)
 
 
 class TestFundamentalCharacter:

@@ -33,6 +33,7 @@ from symsig.sympow import (
     sym_character_eigen,
     sym_character_series,
 )
+from symsig.selfcheck import check_characters
 
 PANEL = (
     Cyclic(2, 1),
@@ -102,11 +103,22 @@ class TestEigenOracle:
             assert expected in sym_character_eigen(G, 2).values
 
     def test_matches_recurrence(self):
-        for kind in PANEL:
-            G = build_group(kind)
-            series = sym_character_series(G, 24)
-            for q in range(25):
-                assert sym_character_eigen(G, q).values == series[q].values
+        check_characters(PANEL, 24)
+
+    def test_searches_each_class_once(self, monkeypatch):
+        G = build_group.__wrapped__(BinaryTetrahedral)
+        calls = 0
+        search = sympow._eigen_pair_search
+
+        def counted(G, c):
+            nonlocal calls
+            calls += 1
+            return search(G, c)
+
+        monkeypatch.setattr(sympow, "_eigen_pair_search", counted)
+        for q in range(17):
+            sym_character_eigen(G, q)
+        assert calls == G.num_classes
 
 
 class TestMolienOracle:
@@ -122,13 +134,7 @@ class TestMolienOracle:
         assert [x.to_rational() for x in coeffs] == [1, -2, 3, -4, 5, -6, 7, -8]
 
     def test_matches_recurrence_on_every_class(self):
-        for kind in PANEL:
-            G = build_group(kind)
-            series = sym_character_series(G, 24)
-            for c in range(G.num_classes):
-                coeffs = molien_coefficients(G, c, 24)
-                for q in range(25):
-                    assert coeffs[q] == series[q].values[c]
+        check_characters(PANEL, 24)
 
 
 class TestDecompose:

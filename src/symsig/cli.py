@@ -224,8 +224,8 @@ def cmd_signature(args) -> Report:
             ("note", "trivial summand: syzygy and differential signatures coincide")
         )
     sec = Section("signature", ["quantity", "exact", "decimal"])
-    a_sum, b_sum = sum(series.a), sum(series.b)
-    sec.rows.append(["partial_ratio", f"{a_sum}/{b_sum}", _dec(series.partial_ratio)])
+    b_sum = (N + 1) * (N + 2) // 2
+    sec.rows.append(["partial_ratio", f"{series.a_sum}/{b_sum}", _dec(series.partial_ratio)])
     sec.rows.append(["limit", _frac(series.limit), _dec(series.limit)])
     true_err = abs(series.partial_ratio - series.limit)
     sec.rows.append(["true_error", _frac(true_err), _dec(true_err)])
@@ -236,15 +236,10 @@ def cmd_signature(args) -> Report:
     return rep
 
 
-def _horizon_ladder(N: int, start: int) -> list[int]:
-    out = []
-    v = start
-    while v <= N:
-        out.append(v)
-        v *= 2
-    if not out or out[-1] != N:
-        out.append(N)
-    return out
+def _horizon_ladder(N: int) -> list[int]:
+    """1, 2, 4, ... up to N, then N itself (N >= 1)."""
+    out = [1 << k for k in range(N.bit_length())]
+    return out if out[-1] == N else out + [N]
 
 
 def cmd_elliptic(args) -> Report:
@@ -298,7 +293,7 @@ def cmd_elliptic(args) -> Report:
             ("exact_value", "unknown"),
         ]
         sec, value = Section("bounds", ["N", "exact", "decimal"]), sigma_upper_bound
-    for h in _horizon_ladder(N, 1):
+    for h in _horizon_ladder(N):
         v = value(h)
         sec.rows.append([str(h), _frac(v), _dec(v)])
     rep.sections.append(sec)

@@ -174,18 +174,15 @@ def sym_syzygy_free_rank_bound(q: int) -> int:
 def dsigma_partial(N: int) -> Fraction:
     """Partial ratio of the differential symmetric signature up to q = N.
 
-    Summed honestly from the exact free ranks of Sym^q(Omega~); only q = 0
-    contributes, so the value is 2/((N+1)(N+2)).
+    Sym^q(Omega~) is one Atiyah atom of rank >= 2 for q >= 1, so the exact free
+    ranks sum to fr(0) + N * fr(1) = 1 and the value is 2/((N+1)(N+2)).
     """
     if N < 0:
         raise ValueError("horizon N must be non-negative")
-    total = 0
-    for q in range(N + 1):
-        fr = free_rank(sym_cotangent(q))
-        if not fr.exact:
-            raise AssertionError("cotangent powers must have exact free ranks")
-        total += fr.value
-    return Fraction(total, (N + 1) * (N + 2) // 2)
+    fr0, fr1 = free_rank(sym_cotangent(0)), free_rank(sym_cotangent(1))
+    if not (fr0.exact and fr1.exact):
+        raise AssertionError("cotangent powers must have exact free ranks")
+    return Fraction(fr0.value + N * fr1.value, (N + 1) * (N + 2) // 2)
 
 
 def sigma_upper_bound(N: int) -> Fraction:

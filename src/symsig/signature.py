@@ -12,6 +12,14 @@ computes a rigorous error bound (the one place floating point is allowed,
 with a safety inflation), and exposes the per-q ratio alpha_(i,q)/(q+1)
 whose oscillation shows why the naive limit fails to exist.
 
+Each query reads the period table alpha_(i, s+k*m) = base_s[i] + k * step_s[i]
+(s < m, `sympow._period_rows`): the sum to N is sum_s n_s * base_s[i] +
+step_s[i] * n_s (n_s - 1) / 2 with n_s = floor((N - s)/m) + 1, and the limit is
+the certified (sum_s step_s[i]) / m^2, so no column is built: O(m) for any N.
+Within one residue the naive ratio (base_s[i] + k * step_s[i]) / (s + 1 + k * m)
+is a Moebius map of k with positive denominator, hence monotone in k, so its
+extremes over a window of q lie at the window's first and last k.
+
 For the trivial character the partial ratio is simultaneously the syzygy
 (differential) symmetric signature partial sum: the second syzygy of the
 residue field is the fundamental module, whose multiplicity sequence is the
@@ -22,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .cyclotomic import ConsistencyError
 from .klein import KleinGroup, character_table, fundamental_character
-from .sympow import _multiplicity_column
+from .sympow import _multiplicity_column, _period_rows
 
 #: Multiplied into the floating-point part of every error bound so that
 #: rounding in the complex embedding can never make the bound under-report.
@@ -39,11 +48,14 @@ class SignatureSeries:
     group: KleinGroup
     i: int
     N: int
-    a: tuple[int, ...]          # alpha_(i,q) for q = 0..N
-    b: tuple[int, ...]          # q + 1 for q = 0..N
-    partial_ratio: Fraction     # (sum a) / (sum b), exact
-    limit: Fraction             # deg_i / |G|
+    a_sum: int                  # sum of alpha_(i,q) over q = 0..N
+    partial_ratio: Fraction     # a_sum / sum of (q + 1), exact
+    limit: Fraction             # deg_i / |G|, as certified by the period table
     bound: float                # |partial_ratio - limit| <= bound
+
+    # alpha_(i,q) and the weights q + 1 for q = 0..N, built in O(N) on each access
+    a = property(lambda self: tuple(_multiplicity_column(self.group, self.i, self.N)))
+    b = property(lambda self: tuple(range(1, self.N + 2)))
 
 
 def _check_index(G: KleinGroup, i: int) -> None:
@@ -54,24 +66,28 @@ def _check_index(G: KleinGroup, i: int) -> None:
         )
 
 
+def _residues(G: KleinGroup, i: int, N: int) -> list[tuple[int, int, int]]:
+    """(s, base_s[i], step_s[i]) for each residue s < m with s <= N."""
+    _check_index(G, i)
+    base, steps = _period_rows(G)
+    return [(s, row[i], step[i]) for s, (row, step) in enumerate(zip(base[: N + 1], steps))]
+
+
 def signature_partial(G: KleinGroup, i: int, N: int) -> SignatureSeries:
     """Exact partial sums of the signature quotient for irreducible i up to q = N."""
     if N < 0:
         raise ValueError("horizon N must be non-negative")
-    _check_index(G, i)
-    a = tuple(_multiplicity_column(G, i, N))
-    b = tuple(q + 1 for q in range(N + 1))
-    sum_b = (N + 1) * (N + 2) // 2
-    if sum(b) != sum_b:
-        raise ConsistencyError("weight sum mismatch")
-    ratio = Fraction(sum(a), sum_b)
+    a_sum = 0
+    for s, a, d in _residues(G, i, N):
+        n = (N - s) // G.m + 1
+        a_sum += n * a + d * n * (n - 1) // 2
+    ratio = Fraction(a_sum, (N + 1) * (N + 2) // 2)
     if not 0 <= ratio <= 1:
         raise ConsistencyError(f"partial ratio {ratio} outside [0, 1]")
-    deg = character_table(G).degrees[i]
-    limit = Fraction(deg, G.order)
+    limit = Fraction(sum(step[i] for step in _period_rows(G)[1]), G.m ** 2)
     bound = error_bound(G, i, N) if N >= 1 else float("inf")
     return SignatureSeries(
-        group=G, i=i, N=N, a=a, b=b,
+        group=G, i=i, N=N, a_sum=a_sum,
         partial_ratio=ratio, limit=limit, bound=bound,
     )
 
@@ -116,14 +132,19 @@ def naive_ratio_series(G: KleinGroup, i: int, N: int) -> list[Fraction]:
 
 
 def oscillation_gap(G: KleinGroup, i: int, N: int) -> Fraction:
-    """max - min of the naive ratio over q in [N/2, N].
+    """max - min of the naive ratio over q in [N//2, N].
 
     A gap bounded away from zero over ever-later windows certifies that the
     naive ratio has no limit, which is what forces the Cesaro averaging in
-    the signature definition.
+    the signature definition.  Within one residue s of q the ratio is
+    monotone in k = (q - s)/m (see the module doc), so only the window's first
+    and last k of each residue are compared: at most 2m ratios.
     """
     if N < 2:
         raise ValueError("horizon N must be at least 2")
-    series = naive_ratio_series(G, i, N)
-    window = series[N // 2:]
-    return max(window) - min(window)
+    m, ends = G.m, []
+    for s, a, d in _residues(G, i, N):
+        k0, k1 = max(0, -((s - N // 2) // m)), (N - s) // m  # ceil, floor
+        ends += [(a + k * d, s + k * m + 1) for k in {k0, k1} if k0 <= k1]
+    key = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])  # num/den, exactly
+    return Fraction(*max(ends, key=key)) - Fraction(*min(ends, key=key))

@@ -328,7 +328,16 @@ def _period_rows(G: KleinGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     steps = [tuple(b - a for a, b in zip(rows[q], rows[q + m])) for q in range(2 * m)]
     if steps[:m] != steps[m:] or min(map(min, steps)) < 0:
         raise ConsistencyError(f"Sym^q multiplicity steps of {G.kind} are not m-periodic")
+    _certify_limits(G, degrees, steps[:m])
     return tuple(rows[:m]), tuple(steps[:m])
+
+
+def _certify_limits(G: KleinGroup, degrees: tuple[int, ...], steps) -> None:
+    """Check sum_s step_s[i] * |G| == m^2 * d_i: given m-periodic steps, this
+    proves the Cesaro limit d_i / |G| of each irreducible i exactly."""
+    for i, d in enumerate(degrees):
+        if sum(step[i] for step in steps) * G.order != G.m ** 2 * d:
+            raise ConsistencyError(f"Cesaro limit certificate fails for {G.kind}, i={i}")
 
 
 def _multiplicity_column(G: KleinGroup, i: int, N: int) -> list[int]:

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_table", boom)
         code, _, err = run("table", "BT")
         assert code == 1 and "internal consistency failure" in err
+
+
+class TestHugeHorizon:
+    @pytest.mark.parametrize("argv", [("signature", "BI"), ("elliptic", "dsigma")])
+    def test_answers_in_a_fresh_process(self, argv):
+        cmd = [sys.executable, "-m", "symsig.cli", *argv, "--horizon", str(10**12)]
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0 and not done.stderr
+        assert "1000000000000" in done.stdout
 
 
 class TestReports:

@@ -122,6 +122,14 @@ class TestSignatureNumbers:
         for N in range(0, 400):
             assert dsigma_partial(N) * ((N + 1) * (N + 2) // 2) == 1
 
+    def test_matches_the_per_q_sum_of_free_ranks(self):
+        total = 0
+        for N in range(1001):
+            fr = free_rank(sym_cotangent(N))
+            assert fr.exact
+            total += fr.value
+            assert dsigma_partial(N) == Fraction(total, (N + 1) * (N + 2) // 2)
+
     def test_quadratic_decay(self):
         for N in range(2, 300):
             assert dsigma_partial(N) <= Fraction(3, N * N)

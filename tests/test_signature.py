@@ -1,9 +1,15 @@
 """Signature partial sums, certified error bounds, and non-convergence."""
 
+import contextlib
+import csv
+import io
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
+import symsig.cli as cli
+from symsig import signature, sympow
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -19,6 +25,7 @@ from symsig.signature import (
     oscillation_gap,
     signature_partial,
 )
+from symsig.sympow import _multiplicity_column
 
 PANEL = (
     Cyclic(2, 1),
@@ -29,6 +36,17 @@ PANEL = (
     BinaryTetrahedral,
     BinaryOctahedral,
     BinaryIcosahedral,
+)
+
+CLOSED_FORM_PANEL = (
+    BinaryTetrahedral,
+    BinaryOctahedral,
+    BinaryIcosahedral,
+    BinaryDihedral(5),
+    BinaryDihedral(30),
+    Cyclic(7, 3),
+    Cyclic(12, 11),
+    Cyclic(60, 7),
 )
 
 
@@ -74,6 +92,14 @@ class TestPartialSums:
                 for i, d in enumerate(degrees)
             )
             assert total == (N + 1) * (N + 2) // 2
+
+    def test_lazy_columns_carry_the_weight_sum(self):
+        G = build_group(BinaryOctahedral)
+        for N in (0, 1, 7, 100, 2001):
+            s = signature_partial(G, 2, N)
+            assert sum(s.b) == (N + 1) * (N + 2) // 2 and len(s.b) == N + 1
+            assert len(s.a) == N + 1 and sum(s.a) == s.a_sum
+            assert s.partial_ratio == Fraction(sum(s.a), sum(s.b))
 
     def test_invalid_index_rejected(self):
         G = build_group(BinaryTetrahedral)
@@ -154,3 +180,46 @@ class TestOscillationGap:
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):
             oscillation_gap(build_group(Cyclic(2, 1)), 0, 1)
+
+
+class TestClosedForms:
+    """The O(m) sum and gap against the O(N) column and naive-ratio oracles."""
+
+    @pytest.mark.parametrize("kind", CLOSED_FORM_PANEL, ids=str)
+    def test_match_the_oracles_at_every_small_horizon(self, kind, monkeypatch):
+        # The float bound is not under test here (TestErrorBound covers it).
+        monkeypatch.setattr(signature, "error_bound", lambda G, i, N: 1.0)
+        G = build_group(kind)
+        top = 4 * G.m
+        for i in range(G.num_classes):
+            # Oracle values up to N are the prefix q <= N of those up to top.
+            column = _multiplicity_column(G, i, top)
+            ratios = naive_ratio_series(G, i, top)
+            ordered = sorted(set(ratios))  # ranks make each window's max and min int work
+            rank = {v: k for k, v in enumerate(ordered)}
+            ranks = [rank[v] for v in ratios]
+            sums = list(accumulate(column))
+            for N in range(2, top + 1):
+                assert signature_partial(G, i, N).a_sum == sums[N], (i, N)
+                window = ranks[N // 2 : N + 1]
+                expect = ordered[max(window)] - ordered[min(window)]
+                assert oscillation_gap(G, i, N) == expect, (i, N)
+            N = 2001
+            assert signature_partial(G, i, N).a_sum == sum(_multiplicity_column(G, i, N))
+            window = naive_ratio_series(G, i, N)[N // 2:]
+            assert oscillation_gap(G, i, N) == max(window) - min(window)
+
+    @pytest.mark.parametrize("i, limit", [(0, "1/120"), (3, "1/40")])
+    def test_cli_builds_no_column_at_a_huge_horizon(self, monkeypatch, i, limit):
+        def refuse(*args):
+            raise AssertionError("an O(N) column was built")
+
+        monkeypatch.setattr(sympow, "_multiplicity_column", refuse)
+        monkeypatch.setattr(signature, "_multiplicity_column", refuse)
+        monkeypatch.setattr(signature, "naive_ratio_series", refuse)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["signature", "BI", "-i", str(i), "--horizon", str(10**12),
+                             "--format", "csv"])
+        assert code == 0
+        assert ["limit", limit] in [row[:2] for row in csv.reader(io.StringIO(out.getvalue()))]

@@ -277,6 +277,18 @@ class TestCyclicTwists:
             _det_permutation(build_group(Cyclic(7, 3)))
 
 
+class TestLimitCertificate:
+    def test_a_corrupted_step_is_refused(self):
+        G = build_group(BinaryIcosahedral)
+        degrees = character_table(G).degrees
+        steps = list(sympow._period_rows(G)[1])
+        row = list(steps[7])
+        row[4] += 1
+        steps[7] = tuple(row)
+        with pytest.raises(ConsistencyError, match=r"^Cesaro limit certificate fails for BI, i=4$"):
+            sympow._certify_limits(G, degrees, steps)
+
+
 class TestSpringerSeries:
     def test_trivial_coefficient_zero_is_one(self):
         for kind in (Cyclic(5, 2), BinaryOctahedral):

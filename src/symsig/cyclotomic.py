@@ -6,9 +6,11 @@ and would break equality tests (1 + z + ... + z^(m-1) must be exactly 0).
 
 Everything here is exact: coefficients are arbitrary-precision rationals,
 stored as one integer vector plus a shared positive denominator so that the
-inner loops are pure big-int arithmetic.  The only floating-point door is
-``embed_complex``, which evaluates at e^(2*pi*i/m) and is reserved for error
-bounds, never for exact results.
+inner loops are pure big-int arithmetic.  ``FpImage`` maps elements to the
+prime field F_p, p = 1 (mod m), by evaluating at a primitive m-th root of
+unity mod p: a ring map, exact on integers far below p/2, with no float.  The
+only floating-point door is ``embed_complex``, which evaluates at
+e^(2*pi*i/m) and is reserved for error bounds, never for exact results.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import add, getitem, mul
 
 
@@ -109,7 +112,7 @@ class CycloContext:
     refuse to mix rather than silently coercing.
     """
 
-    __slots__ = ("m", "degree", "poly", "_red", "headroom", "_moduli", "_zeta_num", "zero", "one")
+    __slots__ = ("m", "degree", "poly", "_red", "headroom", "_zeta_num", "zero", "one")
 
     def __init__(self, m: int):
         if m < 1:
@@ -140,7 +143,6 @@ class CycloContext:
         # one at most 1 + max column sum of |red| times, which is >= max|Phi_m coeff|.
         columns = [sum(map(abs, col)) for col in zip(*red)]
         self.headroom = (1 + max(columns, default=0)).bit_length() + 2
-        self._moduli = {}  # width -> Phi_m(2^width)
         self.zero = CycloElement(self, (0,) * d, 1)
         self.one = CycloElement(self, pows[0], 1)
 
@@ -189,43 +191,12 @@ class CycloContext:
         The int is sum_j num[j] * 2^(j*width), the polynomial's value at
         2^width: the signed numerators sit in slots of ``width`` bits.
         Products of packed ints are products of the polynomials in z, not yet
-        reduced mod Phi_m (``packed_sum`` states the width their sums need).
+        reduced mod Phi_m (``PackedProducts`` states the width their sums need).
         """
         v = 0
         for a in reversed(num):
             v = (v << width) + a
         return v
-
-    def packed_sum(self, xs, ys, den: int, width: int) -> Fraction | None:
-        """(sum_k x_k * y_k) / den over packed xs and ys (see ``pack``).
-
-        The big-int sum is S(B), B = 2^width, for the unreduced sum S(z);
-        evaluation at B maps Z[z]/Phi_m into Z/Phi_m(B).  If every coefficient
-        of S is below 2^(width - headroom) in absolute value, those of
-        R = S mod Phi_m are below B/4 and B > 2 * max|Phi_m coeff| + 2, so the
-        signed residue of S(B) mod Phi_m(B) is R(B), and R is rational iff it
-        is below B/4 (a non-constant R lies 3B/4 or more from 0, so a constant
-        overrunning B/4 by less than B/2 cannot pass either).  Returns the
-        sum, or None.
-        """
-        total = sum(map(mul, xs, ys))
-        r = self._residue(total, width, self._modulus(width, total.bit_length()))
-        return None if r is None else Fraction(r, den)
-
-    def _modulus(self, width: int, bits: int) -> int:
-        """Phi_m(2^width), once an unreduced packed sum of ``bits`` bits fits its slots."""
-        if bits > (2 * self.degree - 1) * width - self.headroom + 1:
-            raise ConsistencyError(f"packed sum overflows its {width}-bit slots")
-        modulus = self._moduli.get(width)
-        if modulus is None:
-            modulus = self._moduli[width] = sum(c << j * width for j, c in enumerate(self.poly))
-        return modulus
-
-    @staticmethod
-    def _residue(total: int, width: int, modulus: int) -> int | None:
-        """R(B) from total = S(B) mod Phi_m(B), or None (see ``packed_sum``)."""
-        r = (total + (modulus >> 1)) % modulus - (modulus >> 1)
-        return None if abs(r) >> (width - 2) else r
 
     def __repr__(self) -> str:
         return f"CycloContext(m={self.m})"
@@ -237,29 +208,107 @@ def get_context(m: int) -> CycloContext:
 
 
 class PackedProducts(dict):
-    """Products of packed ints, each reduced mod Phi_m(2^width) once: self[p, w]
-    lists w * xs[p] * ys[q] over q.  Evaluation at 2^width is a ring map, so a
-    sum of entries has the residue that ``packed_sum`` finds for the unreduced
-    products at that width: ``residue`` returns it, the sum's value times den.
+    """Products of packed ints, each reduced mod Phi_m(B), B = 2^width, once:
+    self[p, w] lists w * xs[p] * ys[q] over q, and ``residue`` reads a sum of
+    entries, one per term.
+
+    Evaluation at B maps Z[z]/Phi_m into Z/Phi_m(B), so a sum of entries is
+    S(B) modulo Phi_m(B) for the unreduced sum S(z) of the products.  If
+    every coefficient of S is below 2^(width - headroom) in absolute value,
+    those of R = S mod Phi_m are below B/4 and B > 2 * max|Phi_m coeff| + 2, so
+    the signed residue of S(B) mod Phi_m(B) is R(B), and R is rational iff it
+    is below B/4 (a non-constant R lies 3B/4 or more from 0, so a constant
+    overrunning B/4 by less than B/2 cannot pass either).
     """
 
     def __init__(self, ctx: CycloContext, xs, ys, width: int, den: int):
         self.ctx, self.xs, self.ys, self.width, self.den = ctx, xs, ys, width, den
         self.bits = max(y.bit_length() for y in ys)  # plus x's bits: a bound on x * y's
+        self.modulus = sum(c << j * width for j, c in enumerate(ctx.poly))
 
     def __missing__(self, key) -> list[int]:
         p, w = key
         if w != 1:
             row = self[key] = [w * t for t in self[p, 1]]
             return row
-        modulus = self.ctx._modulus(self.width, self.xs[p].bit_length() + self.bits)
-        row = self[key] = [self.xs[p] * y % modulus for y in self.ys]
+        ctx, width = self.ctx, self.width
+        if self.xs[p].bit_length() + self.bits > (2 * ctx.degree - 1) * width - ctx.headroom + 1:
+            raise ConsistencyError(f"packed sum overflows its {width}-bit slots")
+        row = self[key] = [self.xs[p] * y % self.modulus for y in self.ys]
         return row
 
     def residue(self, rows, ids) -> int | None:
         """den times (sum_k rows[k][ids[k]]), or None if the sum is not rational."""
-        modulus = self.ctx._moduli[self.width]
-        return self.ctx._residue(sum(map(getitem, rows, ids)), self.width, modulus)
+        half = self.modulus >> 1
+        r = (sum(map(getitem, rows, ids)) + half) % self.modulus - half
+        return None if abs(r) >> (self.width - 2) else r
+
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the first 12 prime bases decide every n < 3.1 * 10^23."""
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class FpImage:
+    """The ring map x -> x(omega) from Q(zeta_m) (elements whose denominators
+    are units mod p) to F_p: p is the largest prime = 1 (mod m) below 2^61, and
+    omega a primitive m-th root of unity mod p, so conj(x) maps to
+    x(omega^-1).  Sums and products of images are images of sums and
+    products, so an integer of absolute value below p/2 is read exactly as
+    the signed residue of its image.  Each distinct value is mapped once.
+    """
+
+    def __init__(self, ctx: CycloContext):
+        m = ctx.m
+        p = (2 ** 61 - 2) // m * m + 1
+        while not is_prime(p):
+            p -= m
+        primes = [q for q in divisors(m)[1:] if is_prime(q)]
+        g = 2
+        while True:
+            omega = pow(g, (p - 1) // m, p)  # omega^m = 1: is it primitive?
+            if all(pow(omega, m // q, p) != 1 for q in primes):
+                break
+            g += 1
+        self.p, self.omega = p, omega
+        self._powers = list(accumulate(repeat(omega, ctx.degree - 1), lambda a, b: a * b % p,
+                                       initial=1))
+        self._memo = {}
+
+    def __call__(self, x: "CycloElement") -> int:
+        """The image of x in [0, p)."""
+        key = (x.num, x.den)
+        r = self._memo.get(key)
+        if r is None:
+            r = sum(a * w for a, w in zip(x.num, self._powers) if a)
+            r = self._memo[key] = r * pow(x.den, -1, self.p) % self.p
+        return r
+
+    def signed(self, a: int) -> int:
+        """The residue of a mod p in (-p/2, p/2)."""
+        a %= self.p
+        return a - self.p if a > self.p >> 1 else a
 
 
 def distinct(vectors) -> tuple[tuple[CycloElement, ...], list[list[int]]]:

@@ -27,18 +27,18 @@ classes and cyclic subgroups are then worked out on element indices.
 
 Character tables are computed, never transcribed.  Cyclic tables come from
 the explicit weight characters; the non-abelian families run a tensor-peeling
-loop.  It first walks the McKay graph from the trivial character, peeling
-fund * chi for each irreducible chi the walk finds; on BI, whose graph is a
-tree, the walk alone finds the table.  Plain tensor-peeling stalls on clumped
-remainders (e.g. the three linear characters of the quaternion group arrive
-as one norm-3 remainder), so the loop then draws characters induced from the
-cyclic subgroups generated by class representatives, class by class, and
-last fund times the other irreducibles and the remainders.  Seeds and
-products are built only when drawn, and a vector drawn twice is peeled once,
-so discovery peels about r vectors.  It ends once r irreducibles are
-registered; a queue that runs dry first, or a draw budget of 60 r^2 that runs
-out, raises ConsistencyError.  Every table is validated against both
-orthogonality relations before it is returned.
+loop over a queue of two parts.  It first walks the McKay graph from the
+trivial character, peeling fund * chi for each irreducible chi the walk finds.
+Plain tensor-peeling stalls on clumped remainders (e.g. the three linear
+characters of the quaternion group arrive as one norm-3 remainder), so the
+loop then draws characters induced from the cyclic subgroups generated by
+class representatives, class by class.  Seeds and products are built only
+when drawn, and a vector drawn twice is peeled once, so discovery peels about
+r vectors.  It ends once r irreducibles are registered; a queue that runs dry
+first raises ConsistencyError.  Discovery only searches, reading each
+multiplicity and norm in F_p (exact, as every vector it draws is a
+character); the exact validate() proves the table against both orthogonality
+relations before it is returned.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .cyclotomic import (
     ConsistencyError,
     CycloContext,
     CycloElement,
+    FpImage,
     PackedProducts,
     ValueIds,
     distinct,
@@ -531,110 +533,28 @@ def fundamental_character(G: KleinGroup) -> Character:
     return G._fundamental
 
 
-def _conj(values, memo: dict) -> tuple[CycloElement, ...]:
-    """The conjugates of values; memo maps (num, den) to each conjugate taken so far."""
-    out = []
-    for v in values:
-        key = (v.num, v.den)
-        c = memo.get(key)
-        if c is None:
-            c = memo[key] = v.conjugate()
-        out.append(c)
-    return tuple(out)
+def _products(G: KleinGroup, lefts, rights) -> tuple[PackedProducts, list, list]:
+    """The products of the conjugated distinct values of lefts with the
+    distinct values of rights, and every vector as ids into its side's values:
+    products.residue([products[p, w_k] for p, w_k in zip(left[i], w)], right[j])
+    is products.den times (1/|G|) sum_k w_k conj(lefts[i][k]) rights[j][k].
 
-
-class _Packed:
-    """One vector of field elements over their common denominator ``den``,
-    packed at some width (``weighted``: see _Packing)."""
-
-    __slots__ = ("values", "weighted", "ints", "den", "width")
-
-    def __init__(self, values, weighted: bool, den: int):
-        self.values = values
-        self.weighted = weighted
-        self.den = den
-        self.width = None
-
-
-class _Packing:
-    """Packs class functions of G at one slot width for exact inner products
-    (1/|G|) sum_c w_c x_c y_c: w_c is the class size, folded into x when it is
-    packed ``weighted`` (the conjugated side of <phi, psi>), and 1 otherwise.
-
-    The width, 2 * bits + bits(|G| * phi(m)) + 2 + headroom, keeps every
-    unreduced coefficient below 2^(width - headroom), as packed_sum needs;
-    ``bits`` is the widest numerator packed so far.  A wider vector raises the
-    width, and vectors packed before are repacked on use.
-
-    Each distinct value is worked on once: ``_tops`` keeps its largest
-    |numerator| and ``_ints`` its packed numerator at the current width
-    (dropped when the width grows), both keyed on the numerator tuple, the
-    only input of either; a vector scales them to its common denominator.
+    Each side is packed over its common denominator at one width,
+    2 * bits + bits(|G| * phi(m)) + 2 + headroom with ``bits`` the widest
+    numerator of either side, which keeps every unreduced coefficient of such
+    a sum (weights at most |G|) below 2^(width - headroom), as PackedProducts
+    needs.  Each distinct numerator is packed once.
     """
-
-    __slots__ = ("G", "sizes", "bits", "width", "_tops", "_ints")
-
-    def __init__(self, G: KleinGroup):
-        self.G = G
-        self.sizes = tuple(cls.size for cls in G.classes)
-        self.bits = 0
-        self.width = (G.order * G.ctx.degree).bit_length() + 2 + G.ctx.headroom
-        self._tops = {}
-        self._ints = {}
-
-    def pack(self, *vectors, weighted: bool = False) -> list[_Packed]:
-        tops = self._tops
-        packed = []
-        top = 0
-        for vec in vectors:
-            den = math.lcm(*(v.den for v in vec))
-            for v in vec:
-                t = tops.get(v.num)
-                if t is None:
-                    t = tops[v.num] = max(max(v.num), -min(v.num))
-                top = max(top, t * (den // v.den))
-            packed.append(_Packed(vec, weighted, den))
-        bits = top.bit_length()
-        if bits > self.bits:
-            self.width += 2 * (bits - self.bits)
-            self.bits = bits
-            self._ints = {}
-        return packed
-
-    def _fill(self, p: _Packed) -> None:
-        """Set p.ints: p's values packed at the current width."""
-        ints, pack, width = self._ints, self.G.ctx.pack, self.width
-        out = []
-        for v in p.values:
-            x = ints.get(v.num)
-            if x is None:
-                x = ints[v.num] = pack(v.num, width)
-            out.append(x if v.den == p.den else x * (p.den // v.den))
-        if p.weighted:
-            out = [w * x for w, x in zip(self.sizes, out)]
-        p.ints, p.width = out, width
-
-    def inner(self, x: _Packed, y: _Packed) -> Fraction:
-        """<phi, psi> for x packed weighted from conj(phi) and y packed from psi."""
-        for p in (x, y):
-            if p.width != self.width:
-                self._fill(p)
-        den = x.den * y.den * self.G.order
-        return _exact(self.G.ctx.packed_sum(x.ints, y.ints, den, self.width))
-
-    def products(self, lefts, rights) -> tuple[PackedProducts, list, list]:
-        """The products of the conjugated distinct values of lefts with the
-        distinct values of rights, each packed once, and every vector as ids into
-        its side's values: products.residue([products[p, w_k] for p, w_k in
-        zip(left[i], w)], right[j]) is products.den times
-        (1/|G|) sum_k w_k conj(lefts[i][k]) rights[j][k].
-        """
-        (xs, left), (ys, right) = distinct(lefts), distinct(rights)
-        x, y = self.pack(tuple(v.conjugate() for v in xs), ys)
-        for p in (x, y):
-            self._fill(p)
-        den = x.den * y.den * self.G.order
-        return PackedProducts(self.G.ctx, x.ints, y.ints, self.width, den), left, right
+    ctx = G.ctx
+    (xs, left), (ys, right) = distinct(lefts), distinct(rights)
+    sides = [(vals, math.lcm(*(v.den for v in vals)))
+             for vals in ([v.conjugate() for v in xs], ys)]
+    top = max(max(map(abs, v.num)) * (den // v.den) for vals, den in sides for v in vals)
+    width = (G.order * ctx.degree).bit_length() + 2 + ctx.headroom + 2 * top.bit_length()
+    ints = {num: ctx.pack(num, width) for num in {v.num for vals, _ in sides for v in vals}}
+    (px, dx), (py, dy) = (([ints[v.num] * (den // v.den) for v in vals], den)
+                          for vals, den in sides)
+    return PackedProducts(ctx, px, py, width, dx * dy * G.order), left, right
 
 
 def _exact(r):
@@ -647,8 +567,9 @@ def _exact(r):
 
 def _values_inner(G: KleinGroup, phi, psi) -> Fraction:
     """<phi, psi> = (1/|G|) sum over classes of size * conj(phi) * psi."""
-    packing = _Packing(G)
-    return packing.inner(*packing.pack(_conj(phi, {}), weighted=True), *packing.pack(psi))
+    products, left, right = _products(G, [phi], [psi])
+    row = [products[p, cls.size] for p, cls in zip(left[0], G.classes)]
+    return Fraction(_exact(products.residue(row, right[0])), products.den)
 
 
 def inner_product(phi: Character, psi: Character) -> Fraction:
@@ -691,7 +612,7 @@ class CharacterTable:
             raise ConsistencyError("sum of squared degrees differs from |G|")
         rows = [chi.values for chi in self.irreducibles]
         sizes = [cls.size for cls in G.classes]
-        products, conj_ids, ids = _Packing(G).products(rows, rows)
+        products, conj_ids, ids = _products(G, rows, rows)
         den = products.den  # each entry is compared as its residue, den times its value
         sums = [[products[p, w] for p, w in zip(row, sizes)] for row in conj_ids]
         for i in range(r):
@@ -777,18 +698,18 @@ def _induced_from_cyclic(G: KleinGroup, c: int):
 
 
 class _SeedQueue:
-    """Discovery's work queue, drawn in three parts: the walk, the characters
-    induced from each class in turn, then the tail.
+    """Discovery's work queue, drawn in two parts: the walk, then the
+    characters induced from each class in turn.
 
-    The walk and the tail hold factors chi and yield fund * chi, multiplied
-    only when drawn.  The walk starts from the trivial character, and each
-    irreducible registered from a walk vector extends it (``walk``), so it
-    steps along the McKay graph and holds at most r + 1 factors; every other
-    factor goes to the tail (``append``).  A seed is built only when drawn,
-    and each distinct seed value once per queue.
+    The walk holds factors chi and yields fund * chi, multiplied only when
+    drawn.  It starts from the trivial character, and each irreducible
+    registered from a walk vector extends it (``walk``), so it steps along
+    the McKay graph and holds at most r + 1 factors.  A seed is built only
+    when drawn, and each distinct seed value once per queue.  The queue is
+    finite: at most r + 1 walk draws and sum_c order(rep_c) seeds.
     """
 
-    __slots__ = ("_fund", "_walk", "_seeds", "_left", "_tail", "_ids", "_keys")
+    __slots__ = ("_fund", "_walk", "_seeds", "_left", "_ids", "_keys")
 
     def __init__(self, G: KleinGroup, fund):
         r = G.num_classes
@@ -798,16 +719,12 @@ class _SeedQueue:
         self._walk = deque([_trivial_values(G)])
         self._seeds = itertools.chain(*(_induced_from_cyclic(G, c) for c in range(r)))
         self._left = sum(G.class_order(c) for c in range(r))
-        self._tail = deque()
 
     def __bool__(self) -> bool:
-        return bool(self._walk) or self._left > 0 or bool(self._tail)
+        return bool(self._walk) or self._left > 0
 
     def walk(self, chi) -> None:
         self._walk.append(chi)
-
-    def append(self, chi) -> None:
-        self._tail.append(chi)
 
     def _value(self, key) -> CycloElement:
         i = self._keys.get(key)
@@ -822,37 +739,39 @@ class _SeedQueue:
     def popleft(self):
         """The next vector, and whether it came from the walk."""
         if self._walk:
-            chi, walked = self._walk.popleft(), True
-        elif self._left:
-            self._left -= 1
-            return tuple(map(self._value, next(self._seeds))), False
-        else:
-            chi, walked = self._tail.popleft(), False
-        return tuple(x * y for x, y in zip(chi, self._fund)), walked
+            return tuple(x * y for x, y in zip(self._walk.popleft(), self._fund)), True
+        self._left -= 1
+        return tuple(map(self._value, next(self._seeds))), False
 
 
-def _peel(packing: _Packing, vec, found):
+def _peel(image: FpImage, vec, found):
     """Subtract from vec each found irreducible, times its multiplicity in vec.
 
-    found holds (values, packed conjugate values) pairs of orthonormal
-    irreducibles, so each multiplicity <vec, chi> = <chi, vec> (rational) is
-    read off vec itself; the subtraction runs on integer numerators over a
-    common denominator per class.  Returns the remainder and its packing.
+    found holds (values, weights) pairs of orthonormal irreducibles chi, with
+    weights[c] the image of size_c * conj(chi[c]) / |G|, so the multiplicity
+    <vec, chi> = <chi, vec> is the signed residue of a sum of images.  That
+    is exact while vec is a character: the multiplicity is then an integer in
+    [0, deg vec], far below p/2.  The subtraction runs on integer numerators
+    over a common denominator per class.  Returns the remainder.
     """
-    packed, = packing.pack(vec)
+    images = [image(v) for v in vec]
+    deg = vec[0].to_rational()
     terms = []
-    for chi, conj_chi in found:
-        coeff = packing.inner(conj_chi, packed)
-        if coeff.denominator != 1:
-            raise ConsistencyError(f"non-integer multiplicity {coeff} while peeling a character")
-        if coeff < 0:
+    for chi, weights in found:
+        k = image.signed(sum(map(mul, weights, images)))
+        if deg is None or not -deg <= k <= deg:
             raise ConsistencyError(
-                f"negative multiplicity {coeff} while peeling a genuine character"
+                f"multiplicity residue {k} mod p lies outside [-d, d] for the degree "
+                f"d = {vec[0]} of a vector being peeled: it is not a character"
             )
-        if coeff:
-            terms.append((int(coeff), chi))
+        if k < 0:
+            raise ConsistencyError(
+                f"negative multiplicity {k} while peeling a genuine character"
+            )
+        if k:
+            terms.append((k, chi))
     if not terms:
-        return vec, packed
+        return vec
     out = []
     for c, x in enumerate(vec):
         den = math.lcm(x.den, *(chi[c].den for _, chi in terms))
@@ -861,43 +780,43 @@ def _peel(packing: _Packing, vec, found):
             scale = k * (den // chi[c].den)
             num = [a - scale * b for a, b in zip(num, chi[c].num)]
         out.append(CycloElement._make(x.ctx, num, den))
-    return tuple(out), packing.pack(tuple(out))[0]
+    return tuple(out)
 
 
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
-    """Tensor-peeling along the McKay graph, with induced-character seeds."""
+    """Tensor-peeling along the McKay graph, with induced-character seeds, in F_p."""
     r = G.num_classes
     fund = tuple(fundamental_character(G).values)
-    packing = _Packing(G)
+    image = FpImage(G.ctx)
+    p = image.p
+    scale = [cls.size * pow(G.order, -1, p) % p for cls in G.classes]
+    inverse = [G.class_of[G.inverse[cls.rep]] for cls in G.classes]
+
+    def weights(vec):  # the images of size_c * conj(vec[c]) / |G|: conj(chi(g)) = chi(g^-1)
+        return [w * image(vec[c]) % p for w, c in zip(scale, inverse)]
+
     trivial = _trivial_values(G)
-    conj = {}  # (num, den) -> conjugate, for every value conjugated in this run
-    conj_trivial, = packing.pack(_conj(trivial, conj), weighted=True)
-    found = [(trivial, conj_trivial)]
+    found = [(trivial, weights(trivial))]
     queue = _SeedQueue(G, fund)
     peeled = set()  # the (num, den) tuples of every vector peeled from the queue
-    budget = 60 * r * r
-    processed = 0
     while queue and len(found) < r:
-        processed += 1
-        if processed > budget:
-            raise ConsistencyError(f"character discovery for {G.kind} exceeded its budget")
         vec, walked = queue.popleft()
         key = tuple((v.num, v.den) for v in vec)
         if key in peeled:
             continue
         peeled.add(key)
-        vec, packed = _peel(packing, vec, found)
+        vec = _peel(image, vec, found)
         if all(v.is_zero for v in vec):
             continue
-        conj_vec, = packing.pack(_conj(vec, conj), weighted=True)
-        if packing.inner(conj_vec, packed) != 1:  # not an irreducible: multiply it later
-            queue.append(vec)
-            continue
+        conj_vec = weights(vec)
+        if image.signed(sum(map(mul, conj_vec, map(image, vec)))) != 1:
+            continue  # not an irreducible
         deg = vec[0].to_rational()
         if deg is None or deg.denominator != 1 or deg <= 0:
             raise ConsistencyError(f"norm-1 remainder with bad degree {deg!r}")
         found.append((vec, conj_vec))
-        (queue.walk if walked else queue.append)(vec)
+        if walked:
+            queue.walk(vec)
     if len(found) < r:
         raise ConsistencyError(
             f"character discovery stalled for {G.kind}: "

@@ -43,9 +43,8 @@ from .klein import (
     KleinGroup,
     character_table,
     fundamental_character,
-    _Packing,
     _exact,
-    _values_inner,
+    _products,
 )
 
 
@@ -203,9 +202,12 @@ def decompose_inner(G: KleinGroup, q: int) -> Decomposition:
     """Oracle route: literal inner products of chi_Sym^q against the table."""
     table = character_table(G)
     chi = sym_character(G, q)
+    # <chi_i, chi> = <chi, chi_i> (rational), every chi_i from one product table
+    products, conj_ids, (ids,) = _products(G, [irr.values for irr in table], [chi.values])
     mults = []
-    for irr in table:
-        a = _values_inner(G, chi.values, irr.values)
+    for row in conj_ids:
+        a = products.residue([products[p, cls.size] for p, cls in zip(row, G.classes)], ids)
+        a = Fraction(_exact(a), products.den)
         if a.denominator != 1 or a < 0:
             raise ConsistencyError(
                 f"multiplicity <Sym^{q}, chi> = {a} is not a non-negative integer"
@@ -229,7 +231,7 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
     ids = ValueIds(G.ctx)
     fund = [ids.id(v) for v in fundamental_character(G).values]
     prods = [[ids.values[ids.mul(f, ids.id(v))] for f, v in zip(fund, row)] for row in values]
-    products, conj_ids, prod_ids = _Packing(G).products(values, prods)
+    products, conj_ids, prod_ids = _products(G, values, prods)
     rows = [[products[p, cls.size] for p, cls in zip(row, G.classes)] for row in conj_ids]
     den = products.den  # each multiplicity is read as its residue, den times it
     columns = []

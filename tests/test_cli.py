@@ -117,6 +117,45 @@ class TestHugeHorizon:
         assert "1000000000000" in done.stdout
 
 
+class TestWarmProcess:
+    SEQUENCE = [
+        ("table", "BT"),
+        ("signature", "BI"),
+        ("signature", "BI", "--horizon", "abc"),
+        ("signature", "BI"),
+    ]
+    SCRIPT = """
+import contextlib, io, json, sys
+import symsig.cli as cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+    def test_one_process_answers_as_fresh_ones(self):
+        # A warm process answers each query, a rejected one included, with
+        # the bytes and exit code of a fresh process.
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.SEQUENCE)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        warm = json.loads(done.stdout)
+        fresh = []
+        for argv in self.SEQUENCE:
+            one = subprocess.run(
+                [sys.executable, "-m", "symsig.cli", *argv], capture_output=True, text=True,
+                timeout=60,
+            )
+            fresh.append([one.returncode, one.stdout, one.stderr])
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+        assert warm == fresh
+
+
 class TestReports:
     def test_signature_frozen_values(self):
         code, out, _ = run("signature", "cyclic:2,1", "-i", "0", "--horizon", "10")

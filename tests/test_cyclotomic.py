@@ -3,7 +3,6 @@
 import math
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +10,13 @@ from hypothesis import strategies as st
 
 from symsig.cyclotomic import (
     ConsistencyError,
+    FpImage,
     PackedProducts,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
     get_context,
+    is_prime,
 )
 from symsig.selfcheck import check_cyclotomic
 
@@ -264,15 +266,23 @@ def numerator_bits(elements):
     return max(abs(a) * (den // e.den) for e in elements for a in e.num).bit_length()
 
 
+def residue_sum(ctx, px, py, den, width, weights=None):
+    """sum_k w_k px[k] py[k] / den through PackedProducts.residue, or None."""
+    products = PackedProducts(ctx, px, py, width, den)
+    weights = weights or [1] * len(px)
+    r = products.residue([products[k, w] for k, w in enumerate(weights)], range(len(px)))
+    return None if r is None else Fraction(r, den)
+
+
 def packed_sum(ctx, weights, xs, ys):
-    """The kernel, at the slot width its docstring prescribes."""
+    """sum_k w_k x_k y_k at the slot width PackedProducts' docstring prescribes."""
     width = (
         numerator_bits(xs) + numerator_bits(ys)
         + (sum(map(abs, weights)) * ctx.degree).bit_length() + ctx.headroom
     )
     px, dx = pack(ctx, xs, width)
     py, dy = pack(ctx, ys, width)
-    return ctx.packed_sum(list(map(mul, weights, px)), py, dx * dy, width)
+    return residue_sum(ctx, px, py, dx * dy, width, weights)
 
 
 def plain_sum(ctx, weights, xs, ys):
@@ -303,7 +313,8 @@ class TestPackedSum:
 
     def test_reduced_products_read_the_same_sums(self, m):
         # PackedProducts sums products reduced mod Phi_m(2^width) one by one;
-        # one more term closes each sum to a known rational.
+        # one more term closes each sum to a known rational, and without it
+        # the partial sum is read as field arithmetic finds it.
         ctx = get_context(m)
         rng = random.Random(f"packed-products:{m}")
         for _ in range(12):
@@ -322,9 +333,9 @@ class TestPackedSum:
             rows = [products[k, w] for k, w in enumerate(weights)]
             assert Fraction(products.residue(rows, range(n + 1)), dx * dy) == target
             partial = products.residue(rows[:-1], range(n))
-            assert (None if partial is None else Fraction(partial, dx * dy)) == ctx.packed_sum(
-                list(map(mul, weights, px[:-1])), py[:-1], dx * dy, width
-            )
+            assert (None if partial is None else Fraction(partial, dx * dy)) == plain_sum(
+                ctx, weights[:-1], xs[:-1], ys[:-1]
+            ).to_rational()
 
     def test_constant_terms_of_rational_sums(self, m):
         ctx = get_context(m)
@@ -346,7 +357,7 @@ class TestPackedSum:
             width = k + ctx.headroom
             px, dx = pack(ctx, [ctx.rational(a), sign * a * ctx.zeta(i)], width)
             py, dy = pack(ctx, [ctx.one, ctx.zeta(e - i)], width)
-            assert ctx.packed_sum(px, py, dx * dy, width) == 2 * a
+            assert residue_sum(ctx, px, py, dx * dy, width) == 2 * a
 
     def test_smallest_irrational_residues_are_refused(self, m):
         # c +- z^j with c at the width bound, and with c overrunning B/4 by
@@ -359,7 +370,7 @@ class TestPackedSum:
             for c, s in ((bound, 1), (-bound, -1), (half + 1, -1), (-half - 1, 1)):
                 px, dx = pack(ctx, [ctx.rational(c), ctx.zeta(j)], width)
                 py, dy = pack(ctx, [ctx.one, ctx.one], width)
-                assert ctx.packed_sum([px[0], s * px[1]], py, dx * dy, width) is None
+                assert residue_sum(ctx, px, py, dx * dy, width, [1, s]) is None
 
 
 def test_packed_sum_detects_overflowing_slots():
@@ -367,6 +378,48 @@ def test_packed_sum_detects_overflowing_slots():
     x = ctx.from_coeffs([0, 100])
     px, dx = pack(ctx, [x], 4)
     with pytest.raises(ConsistencyError, match="overflows its 4-bit slots"):
-        ctx.packed_sum(px, px, dx * dx, 4)
-    with pytest.raises(ConsistencyError, match="overflows its 4-bit slots"):
-        PackedProducts(ctx, px, px, 4, dx * dx)[0, 1]
+        residue_sum(ctx, px, px, dx * dx, 4)
+
+
+class TestFpImage:
+    def test_primality_matches_a_sieve(self):
+        n = 10 ** 5
+        sieve = [False, False] + [True] * (n - 2)
+        for k in range(2, math.isqrt(n) + 1):
+            if sieve[k]:
+                sieve[k * k::k] = [False] * len(range(k * k, n, k))
+        assert [is_prime(k) for k in range(n)] == sieve
+
+    def test_primality_on_a_mersenne_prime_and_strong_pseudoprimes(self):
+        assert is_prime(2 ** 61 - 1)
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime up to 23
+        assert not is_prime(3215031751)
+        assert not is_prime(3825123056546413051)
+
+    @pytest.mark.parametrize("m", [12, 24, 60, 44, 120, 404])
+    def test_omega_is_a_primitive_root_mod_a_large_prime(self, m):
+        image = FpImage(get_context(m))
+        p, omega = image.p, image.omega
+        assert is_prime(p) and p < 2 ** 61 and (p - 1) % m == 0
+        assert not any(is_prime(q) for q in range(p + m, 2 ** 61, m))
+        assert pow(omega, m, p) == 1
+        for q in divisors(m)[1:]:
+            if is_prime(q):
+                assert pow(omega, m // q, p) != 1
+
+    @pytest.mark.parametrize("m", [12, 24, 60, 44, 120, 404])
+    def test_image_is_a_ring_map_and_conjugation_inverts_omega(self, m):
+        ctx = get_context(m)
+        image = FpImage(ctx)
+        p = image.p
+        rng = random.Random(f"fp-image:{m}")
+        assert image(ctx.one) == 1 and image(ctx.zeta(1)) == image.omega
+        inverse = pow(image.omega, -1, p)
+        for _ in range(10):
+            x, y = random_element(ctx, rng), random_element(ctx, rng)
+            assert image(x + y) == (image(x) + image(y)) % p
+            assert image(x * y) == image(x) * image(y) % p
+            at_inverse = sum(a * pow(inverse, j, p) for j, a in enumerate(x.num))
+            assert image(x.conjugate()) == at_inverse * pow(x.den, -1, p) % p
+        for k in (0, 1, -7, p // 2, -(p // 2)):
+            assert image.signed(image(ctx.rational(k))) == k

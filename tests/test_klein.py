@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from symsig import klein, sympow
-from symsig.cyclotomic import ConsistencyError, CycloContext, CycloElement, PackedProducts
+from symsig.cyclotomic import (
+    ConsistencyError,
+    CycloContext,
+    CycloElement,
+    FpImage,
+    PackedProducts,
+)
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -22,8 +28,7 @@ from symsig.klein import (
     cyclic_weight_indices,
     fundamental_character,
     inner_product,
-    _conj,
-    _Packing,
+    _products,
     _subgroup_hits,
     _values_inner,
 )
@@ -393,17 +398,17 @@ class TestOperationCounts:
         peeled = []
         peel = klein._peel
 
-        def recorded(packing, vec, found):
+        def recorded(image, vec, found):
             peeled.append(tuple((v.num, v.den) for v in vec))
-            return peel(packing, vec, found)
+            return peel(image, vec, found)
 
         monkeypatch.setattr(klein, "_peel", recorded)
         klein._discover_table(build_group.__wrapped__(kind))
         return peeled
 
     def test_discovery_stops_peeling_once_the_table_is_complete(self, monkeypatch):
-        # the walk along the McKay graph (a tree for BI) finds the 9
-        # irreducibles in 12 peels; none runs after the last
+        # the walk along the McKay graph and then the induced seeds find
+        # the 9 irreducibles in 12 peels; none runs after the last
         assert 0 < len(self._peeled_vectors(BinaryIcosahedral, monkeypatch)) <= 12
 
     def test_binary_dihedral_discovery_peels_about_once_per_class(self, monkeypatch):
@@ -446,18 +451,17 @@ class TestOperationCounts:
         monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
         monkeypatch.setattr(klein, "_induced_from_cyclic", counted_seeds)
         monkeypatch.setattr(klein._SeedQueue, "popleft", counted_popleft)
-        for name in ("walk", "append"):
-            push = getattr(klein._SeedQueue, name)
+        push = klein._SeedQueue.walk
 
-            def counted_push(queue, chi, push=push):
-                counts["factors"] += 1
-                return push(queue, chi)
+        def counted_push(queue, chi):
+            counts["factors"] += 1
+            return push(queue, chi)
 
-            monkeypatch.setattr(klein._SeedQueue, name, counted_push)
+        monkeypatch.setattr(klein._SeedQueue, "walk", counted_push)
         klein._discover_table(G)
         drawn = counts["draws"] - counts["seeds"]
-        # discovery ends with factors still queued, and multiplies none of them
-        assert drawn < counts["factors"]
+        # each walk factor is multiplied by fund once, when it is drawn
+        assert 0 < drawn <= counts["factors"]
         assert counts["products"] == G.num_classes * drawn
 
     def test_induced_seeds_build_only_the_reached_classes(self, monkeypatch):
@@ -496,8 +500,8 @@ class TestOperationCounts:
     def test_cyclic_period_rows_need_no_field_product_or_inner_product(self, monkeypatch):
         G = build_group.__wrapped__(Cyclic(60, 7))
         character_table(G)  # validate() takes its inner products here
-        calls = {"packed_sum": 0, "__mul__": 0}
-        for cls, name in ((CycloContext, "packed_sum"), (CycloElement, "__mul__")):
+        calls = {"residue": 0, "__mul__": 0}
+        for cls, name in ((PackedProducts, "residue"), (CycloElement, "__mul__")):
             op = getattr(cls, name)
 
             def counted(self, *args, op=op, name=name):
@@ -506,28 +510,21 @@ class TestOperationCounts:
 
             monkeypatch.setattr(cls, name, counted)
         sympow._period_rows.__wrapped__(G)
-        assert calls == {"packed_sum": 0, "__mul__": 0}
+        assert calls == {"residue": 0, "__mul__": 0}
 
     def test_validate_packs_each_value_once_and_takes_no_packed_sum(self, monkeypatch):
         table = character_table(build_group.__wrapped__(Cyclic(60, 7)))
-        packed, sums = [], 0
-        pack, packed_sum = CycloContext.pack, CycloContext.packed_sum
+        packed = []
+        pack = CycloContext.pack
 
         def counted_pack(self, num, width):
             packed.append((tuple(num), width))
             return pack(self, num, width)
 
-        def counted_sum(self, *args):
-            nonlocal sums
-            sums += 1
-            return packed_sum(self, *args)
-
         monkeypatch.setattr(CycloContext, "pack", counted_pack)
-        monkeypatch.setattr(CycloContext, "packed_sum", counted_sum)
         table.validate()
         # 60 distinct values and their 60 conjugates (the same set), each
         # packed once for both relations
-        assert sums == 0
         assert len(set(packed)) == len(packed) == 60
 
     def test_a_dry_queue_stalls_discovery(self, monkeypatch):
@@ -783,45 +780,6 @@ def _total(products, rows, ids) -> Fraction | None:
 
 
 class TestPacking:
-    def test_width_counts_numerators_over_the_common_denominator(self):
-        G = build_group(Cyclic(12, 11))
-        ctx = G.ctx
-        x = ctx.from_coeffs([Fraction(-5, 3)] + [0] * (ctx.degree - 1))
-        y = ctx.from_coeffs([Fraction(1, 4)] + [0] * (ctx.degree - 1))
-        zeros = (ctx.zero,) * (G.num_classes - 2)
-        packing = _Packing(G)
-        width = packing.width
-        packing.pack((ctx.zero,) + zeros + (ctx.zero,))
-        assert (packing.bits, packing.width) == (0, width)
-        packing.pack((x, y) + zeros)
-        assert packing.bits == (5 * 4).bit_length()
-        assert packing.width == width + 2 * packing.bits
-
-    @pytest.mark.parametrize(
-        "kind", [Cyclic(12, 5), BinaryTetrahedral, BinaryIcosahedral], ids=str
-    )
-    def test_a_wider_vector_repacks_the_narrow_ones(self, kind):
-        # A narrow vector is packed and used, then a wider one grows the width:
-        # the values packed at the old width must be dropped and repacked.
-        G = build_group(kind)
-        table = character_table(G)
-        narrow = tuple(
-            (x + 2 * y) * Fraction(1, 3) for x, y in zip(table[1].values, table[-1].values)
-        )
-        wide = tuple(3 ** 40 * x + y for x, y in zip(table[-1].values, narrow))
-        packing = _Packing(G)
-        memo = {}
-        conj_narrow, = packing.pack(_conj(narrow, memo), weighted=True)
-        plain_narrow, = packing.pack(narrow)
-        assert packing.inner(conj_narrow, plain_narrow) == _plain_inner(G, narrow, narrow)
-        width = packing.width
-        conj_wide, = packing.pack(_conj(wide, memo), weighted=True)
-        plain_wide, = packing.pack(wide)
-        assert packing.width > width
-        assert packing.inner(conj_narrow, plain_narrow) == _plain_inner(G, narrow, narrow)
-        assert packing.inner(conj_wide, plain_wide) == _plain_inner(G, wide, wide)
-        assert packing.inner(conj_narrow, plain_wide) == _plain_inner(G, narrow, wide)
-
     @pytest.mark.parametrize(
         "kind", [Cyclic(7, 3), Cyclic(12, 5), BinaryDihedral(5), BinaryTetrahedral,
                  BinaryIcosahedral], ids=str
@@ -837,14 +795,14 @@ class TestPacking:
         ]
         vectors = rows + mixed + [tuple(3 ** 40 * x for x in rows[-1])]
         sizes = [cls.size for cls in G.classes]
-        products, left, right = _Packing(G).products(vectors, vectors)
+        products, left, right = _products(G, vectors, vectors)
         for i, x in enumerate(vectors):
             sums = [products[p, w] for p, w in zip(left[i], sizes)]
             for j, y in enumerate(vectors):
                 assert _total(products, sums, right[j]) == _plain_inner(G, x, y)
         # Columns of r of the vectors, unweighted; most sums are not rational.
         columns = list(zip(*vectors[-G.num_classes:]))
-        products, left, right = _Packing(G).products(columns, columns)
+        products, left, right = _products(G, columns, columns)
         for c, x in enumerate(columns):
             sums = [products[p, 1] for p in left[c]]
             for cp, y in enumerate(columns):
@@ -873,3 +831,56 @@ class TestImmutabilityOfBuild:
         t1 = character_table(a)
         t2 = character_table(b)
         assert all(x.values == y.values for x, y in zip(t1, t2))
+
+
+class TestDiscoveryPremises:
+    @staticmethod
+    def _found(G, image, chi):
+        """One found entry for _peel: chi and the images of size_c conj(chi[c]) / |G|."""
+        p = image.p
+        return chi, [cls.size * image(v.conjugate()) * pow(G.order, -1, p) % p
+                     for cls, v in zip(G.classes, chi)]
+
+    def test_peel_refuses_a_negative_multiplicity(self):
+        G = build_group(BinaryTetrahedral)
+        table = character_table(G)
+        a, b = table[-1].values, table[1].values  # degrees 3 and 1
+        image = FpImage(G.ctx)
+        virtual = tuple(x - y for x, y in zip(a, b))
+        with pytest.raises(ConsistencyError, match="^negative multiplicity -1 while peeling"):
+            klein._peel(image, virtual, [self._found(G, image, b)])
+
+    def test_peel_refuses_a_vector_that_is_not_a_character(self):
+        G = build_group(BinaryTetrahedral)
+        chi = character_table(G)[-1].values
+        image = FpImage(G.ctx)
+        half = tuple(x * Fraction(1, 2) for x in chi)
+        with pytest.raises(
+            ConsistencyError,
+            match=r"^multiplicity residue -\d+ mod p lies outside \[-d, d\] for the degree "
+            r"d = 3/2 of a vector being peeled: it is not a character$",
+        ):
+            klein._peel(image, half, [self._found(G, image, chi)])
+
+    @pytest.mark.parametrize(
+        "kind",
+        [BinaryDihedral(n) for n in range(2, 41)]
+        + [BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral],
+        ids=str,
+    )
+    def test_discovery_completes_from_the_walk_and_the_induced_seeds(self, kind, monkeypatch):
+        # The queue has no other source: on BD:n the seeds of classes 0..2
+        # (the identity, diag(zeta, zeta^-1) and rot) complete the table.
+        G = build_group.__wrapped__(kind)
+        drawn = [0] * G.num_classes
+        induce = klein._induced_from_cyclic
+
+        def counted_seeds(G, c):
+            for vec in induce(G, c):
+                drawn[c] += 1
+                yield vec
+
+        monkeypatch.setattr(klein, "_induced_from_cyclic", counted_seeds)
+        assert len(klein._discover_table(G)) == G.num_classes
+        if kind.family == "BD":
+            assert not any(drawn[3:])

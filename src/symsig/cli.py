@@ -229,7 +229,7 @@ def cmd_signature(args) -> Report:
     sec.rows.append(["limit", _frac(series.limit), _dec(series.limit)])
     true_err = abs(series.partial_ratio - series.limit)
     sec.rows.append(["true_error", _frac(true_err), _dec(true_err)])
-    sec.rows.append(["error_bound", "-", _dec(series.bound)])
+    sec.rows.append(["error_bound", _frac(series.bound), _dec(series.bound)])
     if gap is not None:
         sec.rows.append(["oscillation_gap", _frac(gap), _dec(gap)])
     rep.sections.append(sec)

@@ -10,7 +10,7 @@ inner loops are pure big-int arithmetic.  ``FpImage`` maps elements to the
 prime field F_p, p = 1 (mod m), by evaluating at a primitive m-th root of
 unity mod p: a ring map, exact on integers far below p/2, with no float.  The
 only floating-point door is ``embed_complex``, which evaluates at
-e^(2*pi*i/m) and is reserved for error bounds, never for exact results.
+e^(2*pi*i/m) and serves only the decimal shadows printed beside exact values.
 """
 
 from __future__ import annotations
@@ -405,7 +405,7 @@ class CycloElement:
         return Fraction(self.num[0], self.den)
 
     def embed_complex(self) -> complex:
-        """Numeric value at zeta_m = e^(2*pi*i/m).  Bounds only, never exact."""
+        """Numeric value at zeta_m = e^(2*pi*i/m), for decimal shadows only."""
         m = self.ctx.m
         total = 0j
         for j, v in enumerate(self.num):

@@ -1,4 +1,4 @@
-"""Symmetric signature partial sums, convergence bounds, and the naive ratio.
+"""Symmetric signature partial sums, their exact error bound, and the naive ratio.
 
 For a finite subgroup G < GL(2, C) with invariant ring R, the multiplicity
 alpha_(i,q) of the i-th irreducible in Sym^q(V) equals the rank of the
@@ -8,9 +8,8 @@ so the Cesaro-style quotient
     (sum_{q<=N} alpha_(i,q)) / (sum_{q<=N} (q+1))
 
 converges to deg_i / |G|.  This module assembles those exact partial sums,
-computes a rigorous error bound (the one place floating point is allowed,
-with a safety inflation), and exposes the per-q ratio alpha_(i,q)/(q+1)
-whose oscillation shows why the naive limit fails to exist.
+an exact rational bound on their distance to the limit, and the per-q ratio
+alpha_(i,q)/(q+1) whose oscillation shows why the naive limit fails to exist.
 
 Each query reads the period table alpha_(i, s+k*m) = base_s[i] + k * step_s[i]
 (s < m, `sympow._period_rows`): the sum to N is sum_s n_s * base_s[i] +
@@ -19,6 +18,16 @@ the certified (sum_s step_s[i]) / m^2, so no column is built: O(m) for any N.
 Within one residue the naive ratio (base_s[i] + k * step_s[i]) / (s + 1 + k * m)
 is a Moebius map of k with positive denominator, hence monotone in k, so its
 extremes over a window of q lie at the window's first and last k.
+
+The error bound comes from the same table.  Write B, D for the sums of
+base_s[i], step_s[i] over all s < m and B_s, D_s for those over s' <= s.  At
+N' = s + K*m the terms in K^2 cancel against the limit D/m^2, leaving
+S_i(N') - limit * C(N'+2, 2) = alpha_s * K + beta_s with
+    2 m^2 alpha_s = 2 m^2 (B + D_s) - m^2 D - m D (2s + 3),
+    2 m^2 beta_s  = 2 m^2 B_s - D (s + 1)(s + 2).
+As K <= (N'+1)/m, the error at N' is at most 2|alpha_s| / (m (N'+2)) +
+2|beta_s| / ((N'+1)(N'+2)), which decreases in N'; its maximum over s at N is
+an exact rational that bounds the error at every N' >= N.
 
 For the trivial character the partial ratio is simultaneously the syzygy
 (differential) symmetric signature partial sum: the second syzygy of the
@@ -33,12 +42,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .cyclotomic import ConsistencyError
-from .klein import KleinGroup, character_table, fundamental_character
+from .klein import KleinGroup
 from .sympow import _multiplicity_column, _period_rows
-
-#: Multiplied into the floating-point part of every error bound so that
-#: rounding in the complex embedding can never make the bound under-report.
-BOUND_INFLATION = 1.01
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,7 @@ class SignatureSeries:
     a_sum: int                  # sum of alpha_(i,q) over q = 0..N
     partial_ratio: Fraction     # a_sum / sum of (q + 1), exact
     limit: Fraction             # deg_i / |G|, as certified by the period table
-    bound: float                # |partial_ratio - limit| <= bound
-
-    # alpha_(i,q) and the weights q + 1 for q = 0..N, built in O(N) on each access
-    a = property(lambda self: tuple(_multiplicity_column(self.group, self.i, self.N)))
-    b = property(lambda self: tuple(range(1, self.N + 2)))
+    bound: Fraction | None      # error_bound(group, i, N); None at N = 0
 
 
 def _check_index(G: KleinGroup, i: int) -> None:
@@ -85,42 +86,24 @@ def signature_partial(G: KleinGroup, i: int, N: int) -> SignatureSeries:
     if not 0 <= ratio <= 1:
         raise ConsistencyError(f"partial ratio {ratio} outside [0, 1]")
     limit = Fraction(sum(step[i] for step in _period_rows(G)[1]), G.m ** 2)
-    bound = error_bound(G, i, N) if N >= 1 else float("inf")
-    return SignatureSeries(
-        group=G, i=i, N=N, a_sum=a_sum,
-        partial_ratio=ratio, limit=limit, bound=bound,
-    )
+    bound = error_bound(G, i, N) if N >= 1 else None
+    return SignatureSeries(G, i, N, a_sum, ratio, limit, bound)
 
 
-def error_bound(G: KleinGroup, i: int, N: int) -> float:
-    """Rigorous bound on |partial_ratio - deg_i/|G|| at horizon N.
-
-    Summing the symmetric-power character over q telescopes into geometric
-    sums of eigenvalues, so each non-identity class contributes at most
-    4/|1 - lambda|^2 + N + 2 where |1 - lambda|^2 = 2 - Re(chi_V); the
-    identity class is exactly the limit term and cancels.  Everything here is
-    a bound, not a headline number, so it is evaluated in floating point and
-    inflated by BOUND_INFLATION.
-    """
+def error_bound(G: KleinGroup, i: int, N: int) -> Fraction:
+    """Exact bound on |partial_ratio - deg_i/|G|| at every horizon N' >= N: the
+    module doc's envelope, maximized over s < m in O(m) integer operations."""
     if N < 1:
         raise ValueError("horizon N must be at least 1 for the error bound")
-    _check_index(G, i)
-    chi = character_table(G)[i]
-    fund = fundamental_character(G)
-    total = 0.0
-    for c, cls in enumerate(G.classes):
-        if G.class_order(c) == 1:
-            continue
-        re_v = fund.values[c].embed_complex().real
-        gap = 2.0 - re_v
-        if not gap > 0.0:
-            raise ConsistencyError(
-                "2 - Re(chi_V) vanished on a non-identity class; "
-                "the representation is not faithful"
-            )
-        total += cls.size * abs(chi.values[c].embed_complex()) * (4.0 / gap + N + 2)
-    sum_b = (N + 1) * (N + 2) / 2
-    return BOUND_INFLATION * total / (G.order * sum_b)
+    m, rows = G.m, _residues(G, i, G.m - 1)
+    B, D = sum(a for _, a, _ in rows), sum(d for _, _, d in rows)
+    worst = B_s = D_s = 0
+    for s, a, d in rows:
+        B_s, D_s = B_s + a, D_s + d
+        alpha = m * m * (2 * (B + D_s) - D) - m * D * (2 * s + 3)  # 2 m^2 alpha_s
+        beta = 2 * m * m * B_s - D * (s + 1) * (s + 2)  # 2 m^2 beta_s
+        worst = max(worst, abs(alpha) * (N + 1) + m * abs(beta))
+    return Fraction(worst, m ** 3 * (N + 1) * (N + 2))
 
 
 def naive_ratio_series(G: KleinGroup, i: int, N: int) -> list[Fraction]:

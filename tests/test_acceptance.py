@@ -87,7 +87,7 @@ def test_criterion_01_trivial_summand_signature(acceptance_report):
     ok = ok and elapsed < 60.0
     acceptance_report(
         "criterion 1: trivial-summand ratio at N=2000 within bound for all "
-        f"16 groups, bound <= 0.005 (worst {worst:.5f}, {elapsed:.1f}s)",
+        f"16 groups, bound <= 0.005 (worst {float(worst):.5f}, {elapsed:.1f}s)",
         ok,
     )
 

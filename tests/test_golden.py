@@ -5,8 +5,11 @@ replaced the per-term field arithmetic.  The ``SINGLE`` hashes of the elliptic
 reports and ``table BT --selfcheck`` were captured before the group layer
 moved to integer element indices; those of the three cyclic commands, before
 cyclic McKay columns were read off eigenvalue exponents and values were
-packed, conjugated and rendered once per distinct value.  Any change to a
-printed byte fails here.
+packed, conjugated and rendered once per distinct value.  Every ``signature``
+hash (in ``SHA256`` and ``SINGLE``) was re-captured when the error bound
+became an exact rational read off the period table: only the ``error_bound``
+row changed, and with it the exact column's padding in one pretty report.
+Any change to a printed byte fails here.
 """
 
 import contextlib
@@ -48,9 +51,9 @@ SHA256 = {
         "e573578279a1fa2dfc9c8a4fe0e9c7fcab317bfec85a5b395e789c0e90b5367f",
     ),
     ("signature", "BT"): (
-        "7a3fee1861c0b1732787f4356b187a9db99deecd4d9f67df6aaecb9cd5e5522f",
-        "e5d13840d252bd0e80a593a2fad122d1206ad5c80c9e806b7e13fbfef3f339f7",
-        "60f35bc97597365b1fec8a219c9d2a3c20e478cb2a12cbfcbdecb784ce4b1967",
+        "f28f24fa67a81483636d707228431c85650e86cd2f17ecafa1b0149ef5ad70bc",
+        "ef608af43d4821f2de1103992e8aa9562d2c38b3bb879542f205da441065274c",
+        "48f2de3f6444f39bcea2760fc32c49e607674ba9f34c342bd4088e1d7567e936",
     ),
     ("table", "BI"): (
         "8ff8c9d0326729efa83a9157ee31273b727426de5cdf67e89cfd1ea0c75ea6b4",
@@ -63,9 +66,9 @@ SHA256 = {
         "b15225bc19ff13bed1ae36144022215cb1d5fb39382b6e8c9ecd6130d652f5a9",
     ),
     ("signature", "BI"): (
-        "7be0f3fa47e1a71ad5c9cc302a84817460dc204508ef904e65a29defddfc3c4d",
-        "4877b6f24f4a3e52a964592eae015f3b2123348caeb50277634cbdc996351065",
-        "e73f37e20337790a23c5908b58c80b15f81f4ddabb57c0eb280020ee0c725528",
+        "101c15f42d30a3b0e1397b7ca4c96ebe683645085f6c76fabc4ca761efdcaeb6",
+        "c18ca3d248f37b35a29dd09521e177910eab1c2e138114b3e34af51ea6b0e964",
+        "b7ca428e4831025449e744323c9b8e9107cf828b6b494ca5fa4e479e56f26dea",
     ),
     ("table", "BD:5"): (
         "1046d7e288a021e8988844fa53d041815ae6a6da012f89abe301df95a8c56d84",
@@ -78,9 +81,9 @@ SHA256 = {
         "b21b9edfe318ba203889dadb2d4b617b6696ed3d983e5a9c0909953758569c27",
     ),
     ("signature", "BD:5"): (
-        "b06d4295069886da6f5c32d5cc548b19c08fae8e32336ed9089a0d659a5a7629",
-        "d2932c1de48e26319b3b28b4c3bcb0f13d104dcd346007dabd13d87fe1c6e5d2",
-        "b06d8e9cda0c7061b8dadae6ebd73829cf5199e011548b55dbcc63ecefe900d0",
+        "0b306fd1d9f881de651cc409c37d004a64f608f7d412b171026a158772038453",
+        "95d0d9ad62298d0954de025a97b670024fcdafdb131e3f9bf438f9244f8c902c",
+        "489df10bcd7db71c288505e46cab9e5cda2f17adc25842b3510a59c995c4cc5c",
     ),
     ("table", "cyclic:7,3"): (
         "8b0193f0def980aef216e1802e2103979a38cb4c1bdef7c7631a9a2e0e4897a3",
@@ -93,9 +96,9 @@ SHA256 = {
         "5371c5a947704efff0a6e53a2525c9937096f4322859f002d70dd31d1a027edc",
     ),
     ("signature", "cyclic:7,3"): (
-        "eef4d5130054480a304f254638bba635cb64d050862fed689774d667e981a0f1",
-        "ef30f889ea73a74655536661357e537636db9851c0ded983beaaa49e7e36658a",
-        "7783db56cee9cac1e4c1e323888ef67da569637c738ab92ea5ed29b8b0425812",
+        "003481f9deccf000c0a7431e57f761bfbe80be7ae01a1869cefa6ca2ac97f05a",
+        "276612b8d51ba5c2f89dea3043a9acccb08a6727fb7972ba2f370214b4f3118e",
+        "0a2f29da5bd4c1d187421a9a243b82368ea1353468b22323966abdd0a090555f",
     ),
     ("table", "cyclic:60,7"): (
         "5a49bf2a7e19164279350068060d6136a9b971929054362a39002bc0e9061377",
@@ -108,9 +111,9 @@ SHA256 = {
         "b4abc8128036a385ce5b84b0e0ef74974d037a3f02d4274790c70b615a21d78d",
     ),
     ("signature", "cyclic:60,7"): (
-        "7593a5ac282245a2809f30c04daaf88c3647e92096dd9e7f39ef80c692dfa873",
-        "2c30b23a6eb56ab9c84ce4c77b7a08404f9fca4b34048370de516e0098dfdc44",
-        "84e95ebaf0fedfb31844eb1f8a0aba3298d7b535a77899fd13cefbbad759c969",
+        "089d9cbe6b9be0f23abf67d2629eba042e7779f530fba43b3cf5e82d1d5deb42",
+        "7e646aef90ab95a07e86363469aae2552e9063a4606204a804137028a741e866",
+        "07c2632d4a85384b6aa88cc7d5f9f8cd402e0c549256000d37b6ad11bd92e48d",
     ),
 }
 
@@ -142,9 +145,9 @@ SINGLE = {
         "5f385ce7f42f6302a151f6cfe2439795d6f1820b4521762914abb4fdb320e57d",
     ),
     "signature cyclic:48,5 -i 7 --horizon 2000": (
-        "4d0a59a70c86839782a4663cc2750345af72b92e41aa0fd918c0ee327ef4f4d2",
-        "70040012118d26049d17fb2bd82a4818f2a12d32f7c695d5e5f9500137d6add2",
-        "501ffc4d93a61cb24597b51761092cd644a80a166b5558cc381e0f0eb7d876a4",
+        "6668d98f4c58219eac8ae5cd80380853d906ddc26278c7833b1709dc6bbd9c02",
+        "a4a47372431bf7a31ed928ad9c4b265d3f004b6ad9f136766b25d8ad8cbab34f",
+        "331dcb138920c71f901506b365b8b1da3b0810d3d33f37465b1f22750fcb3e3b",
     ),
     "table cyclic:12,11": (
         "88db505d5156c86f586db6db2f2353725101f9e564a53bdd7cd51dea48e8ac98",

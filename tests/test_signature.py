@@ -52,9 +52,10 @@ CLOSED_FORM_PANEL = (
 
 class TestPartialSums:
     def test_order_two_quotient_at_small_horizon(self):
-        s = signature_partial(build_group(Cyclic(2, 1)), 0, 10)
+        G = build_group(Cyclic(2, 1))
+        s = signature_partial(G, 0, 10)
         assert s.partial_ratio == Fraction(6, 11)
-        assert sum(s.a) == 36 and sum(s.b) == 66
+        assert sum(_multiplicity_column(G, 0, 10)) == 36 and sum(range(1, 12)) == 66
         assert s.limit == Fraction(1, 2)
 
     def test_horizon_zero_is_trivial(self):
@@ -71,9 +72,10 @@ class TestPartialSums:
         assert signature_partial(G, 0, 5).limit == Fraction(1, 120)
 
     def test_weight_sequence(self):
-        s = signature_partial(build_group(Cyclic(5, 2)), 1, 7)
-        assert s.b == (1, 2, 3, 4, 5, 6, 7, 8)
-        assert len(s.a) == 8
+        G = build_group(Cyclic(5, 2))
+        s = signature_partial(G, 1, 7)
+        assert tuple(range(1, s.N + 2)) == (1, 2, 3, 4, 5, 6, 7, 8)
+        assert len(_multiplicity_column(G, 1, s.N)) == 8
 
     def test_ratio_stays_in_unit_interval(self):
         for kind in PANEL:
@@ -88,18 +90,19 @@ class TestPartialSums:
             degrees = character_table(G).degrees
             N = 57
             total = sum(
-                d * sum(signature_partial(G, i, N).a)
+                d * sum(_multiplicity_column(G, i, N))
                 for i, d in enumerate(degrees)
             )
             assert total == (N + 1) * (N + 2) // 2
 
-    def test_lazy_columns_carry_the_weight_sum(self):
+    def test_columns_carry_the_weight_sum(self):
         G = build_group(BinaryOctahedral)
         for N in (0, 1, 7, 100, 2001):
             s = signature_partial(G, 2, N)
-            assert sum(s.b) == (N + 1) * (N + 2) // 2 and len(s.b) == N + 1
-            assert len(s.a) == N + 1 and sum(s.a) == s.a_sum
-            assert s.partial_ratio == Fraction(sum(s.a), sum(s.b))
+            a, b = _multiplicity_column(G, 2, N), range(1, N + 2)
+            assert sum(b) == (N + 1) * (N + 2) // 2 and len(b) == N + 1
+            assert len(a) == N + 1 and sum(a) == s.a_sum
+            assert s.partial_ratio == Fraction(sum(a), sum(b))
 
     def test_invalid_index_rejected(self):
         G = build_group(BinaryTetrahedral)
@@ -126,7 +129,7 @@ class TestErrorBound:
             for i in range(G.num_classes):
                 for N in (10, 100, 1000):
                     s = signature_partial(G, i, N)
-                    assert abs(float(s.partial_ratio - s.limit)) <= s.bound
+                    assert abs(s.partial_ratio - s.limit) <= s.bound
 
     def test_decays_at_least_geometrically_under_doubling(self):
         for kind in (Cyclic(7, 3), BinaryDihedral(3), BinaryIcosahedral):
@@ -139,6 +142,14 @@ class TestErrorBound:
         c100 = error_bound(G, 0, 100) * 100
         for N in (200, 400, 800, 1600):
             assert error_bound(G, 0, N) <= c100 / N * 1.05
+
+    def test_is_the_true_error_where_the_envelope_is_tight(self):
+        # cyclic:5,2's trivial summand has every alpha_s = 0 (see the signature
+        # module doc) and its largest |beta_s| at s = 0, so N = 0 mod 5 attains it.
+        G = build_group(Cyclic(5, 2))
+        for N in (5, 10, 100, 1000):
+            s = signature_partial(G, 0, N)
+            assert s.bound == abs(s.partial_ratio - s.limit)
 
     def test_requires_positive_horizon(self):
         with pytest.raises(ValueError):
@@ -186,11 +197,9 @@ class TestClosedForms:
     """The O(m) sum and gap against the O(N) column and naive-ratio oracles."""
 
     @pytest.mark.parametrize("kind", CLOSED_FORM_PANEL, ids=str)
-    def test_match_the_oracles_at_every_small_horizon(self, kind, monkeypatch):
-        # The float bound is not under test here (TestErrorBound covers it).
-        monkeypatch.setattr(signature, "error_bound", lambda G, i, N: 1.0)
+    def test_match_the_oracles_at_every_small_horizon(self, kind):
         G = build_group(kind)
-        top = 4 * G.m
+        top, degrees = 4 * G.m, character_table(G).degrees
         for i in range(G.num_classes):
             # Oracle values up to N are the prefix q <= N of those up to top.
             column = _multiplicity_column(G, i, top)
@@ -199,8 +208,15 @@ class TestClosedForms:
             rank = {v: k for k, v in enumerate(ordered)}
             ranks = [rank[v] for v in ratios]
             sums = list(accumulate(column))
-            for N in range(2, top + 1):
-                assert signature_partial(G, i, N).a_sum == sums[N], (i, N)
+            limit = Fraction(degrees[i], G.order)
+            errors = [abs(Fraction(a, (n + 1) * (n + 2) // 2) - limit) for n, a in enumerate(sums)]
+            later = list(accumulate(reversed(errors), max))[::-1]  # max error over N' in [N, top]
+            for N in range(1, top + 1):
+                s = signature_partial(G, i, N)
+                assert s.a_sum == sums[N], (i, N)
+                assert isinstance(s.bound, Fraction) and s.bound >= later[N], (i, N)
+                if N < 2:
+                    continue
                 window = ranks[N // 2 : N + 1]
                 expect = ordered[max(window)] - ordered[min(window)]
                 assert oscillation_gap(G, i, N) == expect, (i, N)

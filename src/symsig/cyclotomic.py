@@ -8,9 +8,11 @@ Everything here is exact: coefficients are arbitrary-precision rationals,
 stored as one integer vector plus a shared positive denominator so that the
 inner loops are pure big-int arithmetic.  ``FpImage`` maps elements to the
 prime field F_p, p = 1 (mod m), by evaluating at a primitive m-th root of
-unity mod p: a ring map, exact on integers far below p/2, with no float.  The
-only floating-point door is ``embed_complex``, which evaluates at
-e^(2*pi*i/m) and serves only the decimal shadows printed beside exact values.
+unity mod p, a ring map with no float.  It is the one exactness argument of
+the package: a sum known to be an integer of absolute value below p/2 is the
+signed residue of its image (``fp_image``: one image per field).  The only
+floating-point door is ``embed_complex``, which evaluates at e^(2*pi*i/m) and
+serves only the decimal shadows printed beside exact values.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, getitem, mul
+from operator import add, mul
 
 
 class ConsistencyError(Exception):
@@ -68,7 +70,7 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> tuple[int, ...]:
+def _poly_divide(num: list[int], den: tuple[int, ...]) -> tuple[int, ...]:
     """Divide num by monic den over Z; the division must be exact."""
     if den[-1] != 1:
         raise ConsistencyError("divisor is not monic")
@@ -101,7 +103,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in divisors(m)[:-1]:
         den = _poly_mul(den, cyclotomic_polynomial(d))
     num = [-1] + [0] * (m - 1) + [1]
-    return _poly_div_exact(num, den)
+    return _poly_divide(num, den)
 
 
 class CycloContext:
@@ -112,7 +114,7 @@ class CycloContext:
     refuse to mix rather than silently coercing.
     """
 
-    __slots__ = ("m", "degree", "poly", "_red", "headroom", "_zeta_num", "zero", "one")
+    __slots__ = ("m", "degree", "poly", "_red", "_zeta_num", "zero", "one")
 
     def __init__(self, m: int):
         if m < 1:
@@ -139,10 +141,6 @@ class CycloContext:
         # elements never need more.  _red[k] lists its non-zero (j, coeff).
         red = [pows[(d + k) % m] for k in range(d - 1)]
         self._red = [[(j, c) for j, c in enumerate(row) if c] for row in red]
-        # Bits a packed sum needs above its unreduced coefficients: reducing grows
-        # one at most 1 + max column sum of |red| times, which is >= max|Phi_m coeff|.
-        columns = [sum(map(abs, col)) for col in zip(*red)]
-        self.headroom = (1 + max(columns, default=0)).bit_length() + 2
         self.zero = CycloElement(self, (0,) * d, 1)
         self.one = CycloElement(self, pows[0], 1)
 
@@ -185,19 +183,6 @@ class CycloContext:
                         acc[j] += c * pj
         return CycloElement._make(self, acc, den)
 
-    def pack(self, num, width: int) -> int:
-        """Kronecker substitution: the power-basis numerator vector num as one int.
-
-        The int is sum_j num[j] * 2^(j*width), the polynomial's value at
-        2^width: the signed numerators sit in slots of ``width`` bits.
-        Products of packed ints are products of the polynomials in z, not yet
-        reduced mod Phi_m (``PackedProducts`` states the width their sums need).
-        """
-        v = 0
-        for a in reversed(num):
-            v = (v << width) + a
-        return v
-
     def __repr__(self) -> str:
         return f"CycloContext(m={self.m})"
 
@@ -205,43 +190,6 @@ class CycloContext:
 @lru_cache(maxsize=None)
 def get_context(m: int) -> CycloContext:
     return CycloContext(m)
-
-
-class PackedProducts(dict):
-    """Products of packed ints, each reduced mod Phi_m(B), B = 2^width, once:
-    self[p, w] lists w * xs[p] * ys[q] over q, and ``residue`` reads a sum of
-    entries, one per term.
-
-    Evaluation at B maps Z[z]/Phi_m into Z/Phi_m(B), so a sum of entries is
-    S(B) modulo Phi_m(B) for the unreduced sum S(z) of the products.  If
-    every coefficient of S is below 2^(width - headroom) in absolute value,
-    those of R = S mod Phi_m are below B/4 and B > 2 * max|Phi_m coeff| + 2, so
-    the signed residue of S(B) mod Phi_m(B) is R(B), and R is rational iff it
-    is below B/4 (a non-constant R lies 3B/4 or more from 0, so a constant
-    overrunning B/4 by less than B/2 cannot pass either).
-    """
-
-    def __init__(self, ctx: CycloContext, xs, ys, width: int, den: int):
-        self.ctx, self.xs, self.ys, self.width, self.den = ctx, xs, ys, width, den
-        self.bits = max(y.bit_length() for y in ys)  # plus x's bits: a bound on x * y's
-        self.modulus = sum(c << j * width for j, c in enumerate(ctx.poly))
-
-    def __missing__(self, key) -> list[int]:
-        p, w = key
-        if w != 1:
-            row = self[key] = [w * t for t in self[p, 1]]
-            return row
-        ctx, width = self.ctx, self.width
-        if self.xs[p].bit_length() + self.bits > (2 * ctx.degree - 1) * width - ctx.headroom + 1:
-            raise ConsistencyError(f"packed sum overflows its {width}-bit slots")
-        row = self[key] = [self.xs[p] * y % self.modulus for y in self.ys]
-        return row
-
-    def residue(self, rows, ids) -> int | None:
-        """den times (sum_k rows[k][ids[k]]), or None if the sum is not rational."""
-        half = self.modulus >> 1
-        r = (sum(map(getitem, rows, ids)) + half) % self.modulus - half
-        return None if abs(r) >> (self.width - 2) else r
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -311,11 +259,10 @@ class FpImage:
         return a - self.p if a > self.p >> 1 else a
 
 
-def distinct(vectors) -> tuple[tuple[CycloElement, ...], list[list[int]]]:
-    """The distinct values of vectors, keyed on (num, den), and each vector as their ids."""
-    ids = {}
-    out = [[ids.setdefault((v.num, v.den), (len(ids), v))[0] for v in vec] for vec in vectors]
-    return tuple(v for _, v in ids.values()), out
+@lru_cache(maxsize=None)
+def fp_image(ctx: CycloContext) -> FpImage:
+    """The one F_p image of Q(zeta_m), shared by every exact read in the field."""
+    return FpImage(ctx)
 
 
 class ValueIds:

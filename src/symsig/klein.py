@@ -37,8 +37,17 @@ when drawn, and a vector drawn twice is peeled once, so discovery peels about
 r vectors.  It ends once r irreducibles are registered; a queue that runs dry
 first raises ConsistencyError.  Discovery only searches, reading each
 multiplicity and norm in F_p (exact, as every vector it draws is a
-character); the exact validate() proves the table against both orthogonality
-relations before it is returned.
+character).  validate() proves the table in the same F_p image.  Its values
+must be algebraic integers with chi(g^k) = sigma_k(chi(g)) (sigma_k: zeta ->
+zeta^k) for k in a generating set of (Z/m)^x.  The power maps permute the
+classes and keep their sizes, so each Gram entry
+a_ij = sum_c size_c conj(chi_i(c)) chi_j(c) is a Galois-fixed algebraic
+integer: an integer, at most |G| L^2 in absolute value for L the largest
+coefficient 1-norm of a value.  Once 2 |G| L^2 < p, a_ij = |G| delta_ij is
+read exactly off signed residues, conj(chi(c)) read as chi at the inverse
+class.  For the square table X, X D X^H = |G| I (D the class sizes) gives
+X^H X = |G| D^-1: column orthogonality, the squared-degree sum and distinct
+columns follow.
 """
 
 from __future__ import annotations
@@ -56,9 +65,8 @@ from .cyclotomic import (
     CycloContext,
     CycloElement,
     FpImage,
-    PackedProducts,
     ValueIds,
-    distinct,
+    fp_image,
     get_context,
 )
 
@@ -533,43 +541,18 @@ def fundamental_character(G: KleinGroup) -> Character:
     return G._fundamental
 
 
-def _products(G: KleinGroup, lefts, rights) -> tuple[PackedProducts, list, list]:
-    """The products of the conjugated distinct values of lefts with the
-    distinct values of rights, and every vector as ids into its side's values:
-    products.residue([products[p, w_k] for p, w_k in zip(left[i], w)], right[j])
-    is products.den times (1/|G|) sum_k w_k conj(lefts[i][k]) rights[j][k].
-
-    Each side is packed over its common denominator at one width,
-    2 * bits + bits(|G| * phi(m)) + 2 + headroom with ``bits`` the widest
-    numerator of either side, which keeps every unreduced coefficient of such
-    a sum (weights at most |G|) below 2^(width - headroom), as PackedProducts
-    needs.  Each distinct numerator is packed once.
-    """
-    ctx = G.ctx
-    (xs, left), (ys, right) = distinct(lefts), distinct(rights)
-    sides = [(vals, math.lcm(*(v.den for v in vals)))
-             for vals in ([v.conjugate() for v in xs], ys)]
-    top = max(max(map(abs, v.num)) * (den // v.den) for vals, den in sides for v in vals)
-    width = (G.order * ctx.degree).bit_length() + 2 + ctx.headroom + 2 * top.bit_length()
-    ints = {num: ctx.pack(num, width) for num in {v.num for vals, _ in sides for v in vals}}
-    (px, dx), (py, dy) = (([ints[v.num] * (den // v.den) for v in vals], den)
-                          for vals, den in sides)
-    return PackedProducts(ctx, px, py, width, dx * dy * G.order), left, right
-
-
-def _exact(r):
-    if r is None:
+def _values_inner(G: KleinGroup, phi, psi) -> Fraction:
+    """<phi, psi> = (1/|G|) sum over classes of size * conj(phi) * psi."""
+    acc = G.ctx.zero
+    for cls, x, y in zip(G.classes, phi, psi):
+        if x and y:
+            acc = acc + cls.size * (x.conjugate() * y)
+    value = acc.to_rational()
+    if value is None:
         raise ConsistencyError(
             "inner product of class functions is not rational; inputs are not characters"
         )
-    return r
-
-
-def _values_inner(G: KleinGroup, phi, psi) -> Fraction:
-    """<phi, psi> = (1/|G|) sum over classes of size * conj(phi) * psi."""
-    products, left, right = _products(G, [phi], [psi])
-    row = [products[p, cls.size] for p, cls in zip(left[0], G.classes)]
-    return Fraction(_exact(products.residue(row, right[0])), products.den)
+    return value / G.order
 
 
 def inner_product(phi: Character, psi: Character) -> Fraction:
@@ -601,41 +584,68 @@ class CharacterTable:
         return tuple(chi.degree for chi in self.irreducibles)
 
     def validate(self) -> None:
-        """Hard-check completeness and both orthogonality relations."""
+        """Hard-check the table by the exact certificate of the module doc."""
         G = self.group
         r = G.num_classes
         if len(self.irreducibles) != r:
+            raise ConsistencyError(f"{len(self.irreducibles)} irreducibles for {r} classes")
+        self.degrees  # the identity column holds positive integers
+        ids = {}  # (num, den) -> (id, value) of each distinct value, in table order
+        rows = [[ids.setdefault((v.num, v.den), (len(ids), v))[0] for v in chi.values]
+                for chi in self.irreducibles]
+        values = [v for _, v in ids.values()]
+        for v in values:
+            if v.den != 1:
+                raise ConsistencyError(f"table value {v} is not an algebraic integer")
+        for k in _unit_generators(G.m):
+            sigma = [ids.get((w.num, w.den), (None,))[0] for w in (v._galois(k) for v in values)]
+            powers = [G.class_of[_power(G, cls.rep, k)] for cls in G.classes]
+            for i, row in enumerate(rows):
+                for c, x in enumerate(row):
+                    if sigma[x] != row[powers[c]]:
+                        raise ConsistencyError(
+                            f"chi_{i}(g^{k}) is not sigma_{k}(chi_{i}(g)) for g in class {c}"
+                        )
+        image = fp_image(G.ctx)
+        bound = max(sum(map(abs, v.num)) for v in values)
+        if 2 * G.order * bound ** 2 >= image.p:
             raise ConsistencyError(
-                f"{len(self.irreducibles)} irreducibles for {r} classes"
+                f"table values of coefficient 1-norm {bound} are too large to read mod p"
             )
-        if sum(d * d for d in self.degrees) != G.order:
-            raise ConsistencyError("sum of squared degrees differs from |G|")
-        rows = [chi.values for chi in self.irreducibles]
-        sizes = [cls.size for cls in G.classes]
-        products, conj_ids, ids = _products(G, rows, rows)
-        den = products.den  # each entry is compared as its residue, den times its value
-        sums = [[products[p, w] for p, w in zip(row, sizes)] for row in conj_ids]
+        images = [image(v) for v in values]
+        images = [[images[x] for x in row] for row in rows]
+        inverse = [G.class_of[G.inverse[cls.rep]] for cls in G.classes]
         for i in range(r):
+            weights = [cls.size * images[i][c] for cls, c in zip(G.classes, inverse)]
             for j in range(i, r):
-                got = _exact(products.residue(sums[i], ids[j]))
+                got = image.signed(sum(map(mul, weights, images[j])))
                 want = 1 if i == j else 0
-                if got != want * den:
+                if got != want * G.order:
                     raise ConsistencyError(
-                        f"<chi_{i}, chi_{j}> = {Fraction(got, den)}, expected {want}"
+                        f"<chi_{i}, chi_{j}> = {Fraction(got, G.order)}, expected {want}"
                     )
-        # Column (second) orthogonality, from the same products unweighted:
-        # sum_i conj(chi_i(c)) chi_i(c') is |G|/size(c) on the diagonal and 0 off it.
-        sums = [[products[p, 1] for p in col] for col in zip(*conj_ids)]
-        ids = list(zip(*ids))
-        for c in range(r):
-            for cp in range(c, r):
-                got = _exact(products.residue(sums[c], ids[cp]))
-                if got != (den // sizes[c] if c == cp else 0):
-                    raise ConsistencyError(f"column orthogonality fails at classes ({c}, {cp})")
-        # The table separates classes: no two identical columns.
-        cols = {tuple(chi.values[c] for chi in self.irreducibles) for c in range(r)}
-        if len(cols) != r:
-            raise ConsistencyError("two conjugacy classes have identical columns")
+
+
+def _power(G: KleinGroup, x: int, k: int) -> int:
+    """Index of elements[x]^k, by squaring."""
+    y = 0
+    while k:
+        if k & 1:
+            y = G.mul(y, x)
+        x, k = G.mul(x, x), k >> 1
+    return y
+
+
+def _unit_generators(m: int) -> list[int]:
+    """A generating set of (Z/m)^x, built greedily from k = 2, 3, ..."""
+    gens, span = [], {1 % m}
+    for k in range(2, m):
+        if math.gcd(k, m) == 1 and k not in span:
+            gens.append(k)
+            coset = span  # span * k^e is a new coset until it holds 1
+            while 1 not in (coset := {h * k % m for h in coset}):
+                span = span | coset
+    return gens
 
 
 def _trivial_values(G: KleinGroup):
@@ -783,20 +793,20 @@ def _peel(image: FpImage, vec, found):
     return tuple(out)
 
 
+def _conj_weights(G: KleinGroup, image: FpImage, vec) -> list[int]:
+    """The images of size_c * conj(vec[c]) / |G|, conj(chi(g)) read as chi(g^-1)."""
+    scale = pow(G.order, -1, image.p)
+    return [cls.size * scale * image(vec[G.class_of[G.inverse[cls.rep]]]) % image.p
+            for cls in G.classes]
+
+
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     """Tensor-peeling along the McKay graph, with induced-character seeds, in F_p."""
     r = G.num_classes
     fund = tuple(fundamental_character(G).values)
-    image = FpImage(G.ctx)
-    p = image.p
-    scale = [cls.size * pow(G.order, -1, p) % p for cls in G.classes]
-    inverse = [G.class_of[G.inverse[cls.rep]] for cls in G.classes]
-
-    def weights(vec):  # the images of size_c * conj(vec[c]) / |G|: conj(chi(g)) = chi(g^-1)
-        return [w * image(vec[c]) % p for w, c in zip(scale, inverse)]
-
+    image = fp_image(G.ctx)
     trivial = _trivial_values(G)
-    found = [(trivial, weights(trivial))]
+    found = [(trivial, _conj_weights(G, image, trivial))]
     queue = _SeedQueue(G, fund)
     peeled = set()  # the (num, den) tuples of every vector peeled from the queue
     while queue and len(found) < r:
@@ -808,7 +818,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
         vec = _peel(image, vec, found)
         if all(v.is_zero for v in vec):
             continue
-        conj_vec = weights(vec)
+        conj_vec = _conj_weights(G, image, vec)
         if image.signed(sum(map(mul, conj_vec, map(image, vec)))) != 1:
             continue  # not an irreducible
         deg = vec[0].to_rational()

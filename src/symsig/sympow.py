@@ -19,11 +19,11 @@ T[i][j] the multiplicity of chi_i in chi_V * chi_j (computed once and stored
 as sparse columns), the multiplicity vectors satisfy
 a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring with the
 determinant character.  The non-cyclic families lie in SL(2): there T's
-entries are exact inner products and P is the identity.  For cyclic groups
-every irreducible is linear and chi_V is the sum of the two eigenvalue
-characters, so T and P are read off exponent vectors in O(r^2) integer
-steps, with no field product (`_cyclic_twists`; the inner products of
-`_tensor_matrix` are its oracle in the tests).  By Molien's formula
+entries are inner products read in F_p and proven exactly, and P is the
+identity.  For cyclic groups every irreducible is linear and chi_V is the
+sum of the two eigenvalue characters, so T and P are read off exponent
+vectors in O(r^2) integer steps, with no field product (`_cyclic_twists`;
+`_tensor_matrix` is its oracle in the tests).  By Molien's formula
 sum_q a_q t^q has poles only at m-th roots of unity (m the conductor), each
 of order at most 2, so the step a_(q+m) - a_q depends only on q mod m.  The
 recurrence therefore runs once per group, for q < 3m, and row q = s + k*m is
@@ -34,17 +34,17 @@ is kept as `decompose_inner` and serves as the oracle for the fast route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
-from .cyclotomic import ConsistencyError, CycloElement, ValueIds
+from .cyclotomic import ConsistencyError, CycloElement, ValueIds, fp_image
 from .klein import (
     Character,
     KleinGroup,
     character_table,
     fundamental_character,
-    _exact,
-    _products,
+    inner_product,
+    _conj_weights,
 )
 
 
@@ -202,12 +202,9 @@ def decompose_inner(G: KleinGroup, q: int) -> Decomposition:
     """Oracle route: literal inner products of chi_Sym^q against the table."""
     table = character_table(G)
     chi = sym_character(G, q)
-    # <chi_i, chi> = <chi, chi_i> (rational), every chi_i from one product table
-    products, conj_ids, (ids,) = _products(G, [irr.values for irr in table], [chi.values])
     mults = []
-    for row in conj_ids:
-        a = products.residue([products[p, cls.size] for p, cls in zip(row, G.classes)], ids)
-        a = Fraction(_exact(a), products.den)
+    for irr in table:
+        a = inner_product(irr, chi)  # <chi_i, chi> = <chi, chi_i>, rational
         if a.denominator != 1 or a < 0:
             raise ConsistencyError(
                 f"multiplicity <Sym^{q}, chi> = {a} is not a non-negative integer"
@@ -221,30 +218,42 @@ def decompose_inner(G: KleinGroup, q: int) -> Decomposition:
 def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
     """Sparse columns of T: column j lists (i, T[i][j]) for each T[i][j] != 0.
 
-    T[i][j] is the multiplicity of chi_i in chi_V * chi_j (exact,
-    non-negative), computed as <chi_i, chi_V * chi_j>.  Each product of a
-    value of chi_V and a table value is taken once, and so is each product
-    of a distinct table value's conjugate and a distinct value of some
-    chi_V * chi_j.
+    T[i][j], the multiplicity of chi_i in chi_V * chi_j, is read as the signed
+    residue of <chi_i, chi_V * chi_j> in F_p and then proven: the degrees add
+    up, sum_i T[i][j] d_i = 2 d_j, and chi_V(c) chi_j(c) = sum_i T[i][j] chi_i(c)
+    holds exactly at every class c, which fixes T as the rows of a validated
+    table are independent.  Each product of a value of chi_V and a table value
+    is taken once, and so is each sum of two values.
     """
-    values = [chi.values for chi in character_table(G)]
+    table = character_table(G)
     ids = ValueIds(G.ctx)
     fund = [ids.id(v) for v in fundamental_character(G).values]
-    prods = [[ids.values[ids.mul(f, ids.id(v))] for f, v in zip(fund, row)] for row in values]
-    products, conj_ids, prod_ids = _products(G, values, prods)
-    rows = [[products[p, cls.size] for p, cls in zip(row, G.classes)] for row in conj_ids]
-    den = products.den  # each multiplicity is read as its residue, den times it
+    rows = [[ids.id(v) for v in chi.values] for chi in table]
+    prods = [[ids.mul(f, v) for f, v in zip(fund, row)] for row in rows]
+    image = fp_image(G.ctx)
+    images = [image(v) for v in ids.values]
+    weights = [_conj_weights(G, image, chi.values) for chi in table]
     columns = []
-    for prod in prod_ids:
+    for j, prod in enumerate(prods):
         column = []
-        for i, row in enumerate(rows):
-            a = _exact(products.residue(row, prod))
-            if a % den or a < 0:
-                raise ConsistencyError(
-                    f"tensor multiplicity {Fraction(a, den)} is not a non-negative integer"
-                )
+        xs = [images[x] for x in prod]
+        for i, w in enumerate(weights):
+            a = image.signed(sum(map(mul, w, xs)))
+            if a < 0:
+                raise ConsistencyError(f"tensor multiplicity {a} is not a non-negative integer")
             if a:
-                column.append((i, a // den))
+                column.append((i, a))
+        if sum(a * table[i].degree for i, a in column) != 2 * table[j].degree:
+            raise ConsistencyError(f"tensor multiplicities of chi_V * chi_{j} miss its degree")
+        for c, x in enumerate(prod):
+            acc = 0
+            for i, a in column:  # a <= 2 d_j, by the degree check
+                for _ in range(a):
+                    acc = ids.add(acc, rows[i][c])
+            if acc != x:
+                raise ConsistencyError(
+                    f"chi_V * chi_{j} differs from its tensor multiplicities at class {c}"
+                )
         columns.append(column)
     return columns
 

@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsig.cyclotomic import (
-    ConsistencyError,
     FpImage,
-    PackedProducts,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -252,133 +250,6 @@ def test_sparse_product_matches_the_schoolbook_loop(m):
         for y in operands:
             assert x * y == schoolbook_mul(x, y)
     assert ctx.zeta(m - 1) * ctx.zeta(1) == ctx.one
-
-
-def pack(ctx, elements, width):
-    """The elements as packed ints over their common denominator, and that denominator."""
-    den = math.lcm(*(e.den for e in elements))
-    return [ctx.pack(e.num, width) * (den // e.den) for e in elements], den
-
-
-def numerator_bits(elements):
-    """Bit length of the largest |numerator| over the common denominator."""
-    den = math.lcm(*(e.den for e in elements))
-    return max(abs(a) * (den // e.den) for e in elements for a in e.num).bit_length()
-
-
-def residue_sum(ctx, px, py, den, width, weights=None):
-    """sum_k w_k px[k] py[k] / den through PackedProducts.residue, or None."""
-    products = PackedProducts(ctx, px, py, width, den)
-    weights = weights or [1] * len(px)
-    r = products.residue([products[k, w] for k, w in enumerate(weights)], range(len(px)))
-    return None if r is None else Fraction(r, den)
-
-
-def packed_sum(ctx, weights, xs, ys):
-    """sum_k w_k x_k y_k at the slot width PackedProducts' docstring prescribes."""
-    width = (
-        numerator_bits(xs) + numerator_bits(ys)
-        + (sum(map(abs, weights)) * ctx.degree).bit_length() + ctx.headroom
-    )
-    px, dx = pack(ctx, xs, width)
-    py, dy = pack(ctx, ys, width)
-    return residue_sum(ctx, px, py, dx * dy, width, weights)
-
-
-def plain_sum(ctx, weights, xs, ys):
-    """Oracle: the same sum in field arithmetic, one reduction per product."""
-    acc = ctx.zero
-    for w, x, y in zip(weights, xs, ys):
-        acc = acc + w * (x * y)
-    return acc
-
-
-@pytest.mark.parametrize("m", [7, 12, 60, 116, 120])
-class TestPackedSum:
-    def test_matches_field_arithmetic(self, m):
-        ctx = get_context(m)
-        rng = random.Random(f"packed-sum:{m}")
-        for _ in range(12):
-            n = rng.randint(1, 9)
-            weights = [rng.randint(1, 30) for _ in range(n)]
-            xs = [random_element(ctx, rng) for _ in range(n)]
-            ys = [random_element(ctx, rng) for _ in range(n)]
-            plain = plain_sum(ctx, weights, xs, ys)
-            assert packed_sum(ctx, weights, xs, ys) == plain.to_rational()
-            # Close the sum with one more term so that it is a known rational.
-            target = Fraction(rng.randint(-99, 99), rng.randint(1, 7))
-            closing = ctx.rational(target) - plain
-            got = packed_sum(ctx, weights + [1], xs + [ctx.one], ys + [closing])
-            assert got == target
-
-    def test_reduced_products_read_the_same_sums(self, m):
-        # PackedProducts sums products reduced mod Phi_m(2^width) one by one;
-        # one more term closes each sum to a known rational, and without it
-        # the partial sum is read as field arithmetic finds it.
-        ctx = get_context(m)
-        rng = random.Random(f"packed-products:{m}")
-        for _ in range(12):
-            n = rng.randint(1, 9)
-            weights = [rng.randint(1, 30) for _ in range(n)] + [1]
-            xs = [random_element(ctx, rng) for _ in range(n)] + [ctx.one]
-            ys = [random_element(ctx, rng) for _ in range(n)]
-            target = Fraction(rng.randint(-99, 99), rng.randint(1, 7))
-            ys.append(ctx.rational(target) - plain_sum(ctx, weights, xs, ys))
-            width = (
-                numerator_bits(xs) + numerator_bits(ys)
-                + (sum(weights) * ctx.degree).bit_length() + ctx.headroom
-            )
-            (px, dx), (py, dy) = pack(ctx, xs, width), pack(ctx, ys, width)
-            products = PackedProducts(ctx, px, py, width, dx * dy)
-            rows = [products[k, w] for k, w in enumerate(weights)]
-            assert Fraction(products.residue(rows, range(n + 1)), dx * dy) == target
-            partial = products.residue(rows[:-1], range(n))
-            assert (None if partial is None else Fraction(partial, dx * dy)) == plain_sum(
-                ctx, weights[:-1], xs[:-1], ys[:-1]
-            ).to_rational()
-
-    def test_constant_terms_of_rational_sums(self, m):
-        ctx = get_context(m)
-        xs = [ctx.zeta(k) for k in range(m)]
-        ys = [ctx.zeta(-k) for k in range(m)]
-        assert packed_sum(ctx, [2] * m, xs, ys) == 2 * m
-        assert packed_sum(ctx, [1] * m, xs, [ctx.one] * m) == 0
-
-    def test_rational_sum_at_the_width_bound(self, m):
-        # Unreduced coefficients A = 2^k - 1, the most the width allows:
-        # A + A z^m (m odd) or A - A z^(m/2) (m even) reduces to 2A.
-        ctx = get_context(m)
-        d = ctx.degree
-        e, sign = (m // 2, -1) if m % 2 == 0 else (m, 1)
-        i = min(e, d - 1)
-        assert e - i < d
-        for k in (1, 7, 40):
-            a = 2 ** k - 1
-            width = k + ctx.headroom
-            px, dx = pack(ctx, [ctx.rational(a), sign * a * ctx.zeta(i)], width)
-            py, dy = pack(ctx, [ctx.one, ctx.zeta(e - i)], width)
-            assert residue_sum(ctx, px, py, dx * dy, width) == 2 * a
-
-    def test_smallest_irrational_residues_are_refused(self, m):
-        # c +- z^j with c at the width bound, and with c overrunning B/4 by
-        # up to B/2, where the residue c -+ B lies within B/2 of 0.
-        ctx = get_context(m)
-        width = 24
-        bound = 2 ** (width - ctx.headroom) - 1
-        half = 2 ** (width - 1)
-        for j in (1, ctx.degree - 1):
-            for c, s in ((bound, 1), (-bound, -1), (half + 1, -1), (-half - 1, 1)):
-                px, dx = pack(ctx, [ctx.rational(c), ctx.zeta(j)], width)
-                py, dy = pack(ctx, [ctx.one, ctx.one], width)
-                assert residue_sum(ctx, px, py, dx * dy, width, [1, s]) is None
-
-
-def test_packed_sum_detects_overflowing_slots():
-    ctx = get_context(4)  # Q(i): phi = 2, so the sum has slots for 1, z, z^2
-    x = ctx.from_coeffs([0, 100])
-    px, dx = pack(ctx, [x], 4)
-    with pytest.raises(ConsistencyError, match="overflows its 4-bit slots"):
-        residue_sum(ctx, px, px, dx * dx, 4)
 
 
 class TestFpImage:

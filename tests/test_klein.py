@@ -1,5 +1,7 @@
 """Group construction, conjugacy classes, and character-table discovery."""
 
+import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -12,7 +14,6 @@ from symsig.cyclotomic import (
     CycloContext,
     CycloElement,
     FpImage,
-    PackedProducts,
 )
 from symsig.klein import (
     BinaryDihedral,
@@ -28,7 +29,6 @@ from symsig.klein import (
     cyclic_weight_indices,
     fundamental_character,
     inner_product,
-    _products,
     _subgroup_hits,
     _values_inner,
 )
@@ -495,13 +495,13 @@ class TestOperationCounts:
         table = character_table(build_group.__wrapped__(Cyclic(60, 7)))
         distinct = {(v.num, v.den) for chi in table for v in chi.values}
         assert len(distinct) == 60
-        assert 0 < calls <= len(distinct)
+        assert calls == 0
 
     def test_cyclic_period_rows_need_no_field_product_or_inner_product(self, monkeypatch):
         G = build_group.__wrapped__(Cyclic(60, 7))
         character_table(G)  # validate() takes its inner products here
-        calls = {"residue": 0, "__mul__": 0}
-        for cls, name in ((PackedProducts, "residue"), (CycloElement, "__mul__")):
+        calls = {"signed": 0, "__mul__": 0}
+        for cls, name in ((FpImage, "signed"), (CycloElement, "__mul__")):
             op = getattr(cls, name)
 
             def counted(self, *args, op=op, name=name):
@@ -510,22 +510,28 @@ class TestOperationCounts:
 
             monkeypatch.setattr(cls, name, counted)
         sympow._period_rows.__wrapped__(G)
-        assert calls == {"residue": 0, "__mul__": 0}
+        assert calls == {"signed": 0, "__mul__": 0}
 
-    def test_validate_packs_each_value_once_and_takes_no_packed_sum(self, monkeypatch):
+    def test_validate_images_each_value_once_and_takes_no_field_product(self, monkeypatch):
         table = character_table(build_group.__wrapped__(Cyclic(60, 7)))
-        packed = []
-        pack = CycloContext.pack
+        imaged, products = [], 0
+        call, mul = FpImage.__call__, CycloElement.__mul__
 
-        def counted_pack(self, num, width):
-            packed.append((tuple(num), width))
-            return pack(self, num, width)
+        def counted_call(self, x):
+            imaged.append((x.num, x.den))
+            return call(self, x)
 
-        monkeypatch.setattr(CycloContext, "pack", counted_pack)
+        def counted_mul(self, other):
+            nonlocal products
+            products += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(FpImage, "__call__", counted_call)
+        monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
         table.validate()
-        # 60 distinct values and their 60 conjugates (the same set), each
-        # packed once for both relations
-        assert len(set(packed)) == len(packed) == 60
+        # the 60 distinct values, each mapped to F_p once for the whole Gram matrix
+        assert len(set(imaged)) == len(imaged) == 60
+        assert products == 0
 
     def test_a_dry_queue_stalls_discovery(self, monkeypatch):
         # On Q8 the queue yields chi_a + chi_b (norm 2, not an irreducible)
@@ -689,26 +695,35 @@ class TestInnerProductChecks:
             with pytest.raises(ConsistencyError):
                 bad.validate()
 
-    # The messages validate() gave when each Gram entry was its own packed
-    # sum: the rows relation fails first and prints its entry as a Fraction;
-    # None stands for the "not rational" message.
+    # validate()'s messages: a halved value is not an algebraic integer, a
+    # value moved by zeta or by 3^38 breaks the Galois certificate, and a
+    # rational value times 3^38 is too large for the exact read mod p.
     PERTURBED = {
-        ("cyclic:60,7", "zeta"): [None, None, None],
-        ("cyclic:60,7", "half"): ["<chi_0, chi_0> = 79/80, expected 1", None,
-                                  "<chi_0, chi_1> = -1/120, expected 0"],
-        ("cyclic:60,7", "wide"): [
-            "<chi_0, chi_0> = 91240018157003656367952598892829199/3, expected 1",
-            None,
-            "<chi_0, chi_1> = 337712929418248022/15, expected 0",
+        ("cyclic:60,7", "zeta"): [
+            "chi_0(g^7) is not sigma_7(chi_0(g)) for g in class 1",
+            "chi_59(g^7) is not sigma_7(chi_59(g)) for g in class 1",
+            "chi_1(g^7) is not sigma_7(chi_1(g)) for g in class 30",
         ],
-        ("BI", "zeta"): [None, None, None],
-        ("BI", "half"): ["<chi_0, chi_0> = 37/40, expected 1",
-                         "<chi_0, chi_8> = -1/20, expected 0",
-                         "<chi_0, chi_1> = -1/12, expected 0"],
+        ("cyclic:60,7", "half"): [
+            "table value 1/2 is not an algebraic integer",
+            "table value 1/2 + 1/2*z^2 - 1/2*z^8 - 1/2*z^10 + 1/2*z^14 is not an algebraic integer",
+            "table value 1/2 is not an algebraic integer",
+        ],
+        ("cyclic:60,7", "wide"): [
+            "chi_0(g^7) is not sigma_7(chi_0(g)) for g in class 1",
+            "chi_59(g^7) is not sigma_7(chi_59(g)) for g in class 1",
+            "table values of coefficient 1-norm 1350851717672992089 are too large to read mod p",
+        ],
+        ("BI", "zeta"): [
+            "chi_0(g^7) is not sigma_7(chi_0(g)) for g in class 1",
+            "chi_8(g^7) is not sigma_7(chi_8(g)) for g in class 1",
+            "chi_1(g^7) is not sigma_7(chi_1(g)) for g in class 4",
+        ],
+        ("BI", "half"): ["table value 1/2 is not an algebraic integer"] * 3,
         ("BI", "wide"): [
-            "<chi_0, chi_0> = 182480036314007312735905197785658393, expected 1",
-            "<chi_0, chi_8> = 675425858836496044/5, expected 0",
-            "<chi_0, chi_1> = 675425858836496044/3, expected 0",
+            "chi_0(g^7) is not sigma_7(chi_0(g)) for g in class 1",
+            "chi_8(g^7) is not sigma_7(chi_8(g)) for g in class 1",
+            "table values of coefficient 1-norm 1350851717672992089 are too large to read mod p",
         ],
     }
 
@@ -729,8 +744,7 @@ class TestInnerProductChecks:
             bad = CharacterTable(G, [Character(G, row) for row in rows])
             with pytest.raises(ConsistencyError) as err:
                 bad.validate()
-            assert str(err.value) == (message or "inner product of class functions "
-                                      "is not rational; inputs are not characters")
+            assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "kind", [Cyclic(7, 3), Cyclic(12, 5), BinaryDihedral(5), BinaryOctahedral], ids=str
@@ -739,20 +753,17 @@ class TestInnerProductChecks:
         G = build_group(kind)
         table = character_table(G)
         got = []
-        residue = PackedProducts.residue
+        signed = FpImage.signed
 
-        def recorded(self, rows, ids):
-            r = residue(self, rows, ids)
-            got.append(None if r is None else Fraction(r, self.den))
-            return r
+        def recorded(self, a):
+            got.append(signed(self, a))
+            return got[-1]
 
-        monkeypatch.setattr(PackedProducts, "residue", recorded)
+        monkeypatch.setattr(FpImage, "signed", recorded)
         table.validate()
         r = G.num_classes
         rows = [chi.values for chi in table]
-        want = [_plain_inner(G, rows[i], rows[j]) for i in range(r) for j in range(i, r)]
-        cols = list(zip(*rows))
-        want += [_plain_column(G, cols[c], cols[cp]) for c in range(r) for cp in range(c, r)]
+        want = [_plain_inner(G, rows[i], rows[j]) * G.order for i in range(r) for j in range(i, r)]
         assert got == want
 
 
@@ -764,49 +775,70 @@ def _plain_inner(G, phi, psi) -> Fraction:
     return acc.to_rational() / G.order
 
 
-def _plain_column(G, x, y) -> Fraction | None:
-    """Oracle: (1/|G|) sum_i conj(x_i) y_i in field arithmetic, None if not rational."""
-    acc = G.ctx.zero
-    for a, b in zip(x, y):
-        acc = acc + a.conjugate() * b
-    value = acc.to_rational()
-    return None if value is None else value / G.order
+CERTIFIED_KINDS = (
+    Cyclic(7, 3), Cyclic(12, 5), Cyclic(60, 7), BinaryDihedral(2), BinaryDihedral(5),
+    BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral,
+)
 
 
-def _total(products, rows, ids) -> Fraction | None:
-    """The value of a sum of product-table entries, None if it is not rational."""
-    r = products.residue(rows, ids)
-    return None if r is None else Fraction(r, products.den)
+def _swap_columns(rows, c, d):
+    rows = [list(row) for row in rows]
+    for row in rows:
+        row[c], row[d] = row[d], row[c]
+    return rows
 
 
-class TestPacking:
-    @pytest.mark.parametrize(
-        "kind", [Cyclic(7, 3), Cyclic(12, 5), BinaryDihedral(5), BinaryTetrahedral,
-                 BinaryIcosahedral], ids=str
-    )
-    def test_products_match_field_arithmetic(self, kind):
-        # Class functions that are not characters: rational mixtures of the
-        # rows (denominator 3) and one row 3^40 times over.
+class TestTableCertificate:
+    """validate() ties each column to its class: a swap of two classes of
+    equal size keeps both orthogonality relations, and only the degree read
+    and the Galois certificate refuse it."""
+
+    @staticmethod
+    def _exempt(G, cols):
+        """Two columns that are Galois conjugates, or both rational."""
+        if all(v.to_rational() is not None for col in cols for v in col):
+            return True
+        units = [k for k in range(1, G.m) if math.gcd(k, G.m) == 1]
+        return any(all(v._galois(k) == w for v, w in zip(*cols)) for k in units)
+
+    @pytest.mark.parametrize("kind", CERTIFIED_KINDS, ids=str)
+    def test_validate_refuses_every_equal_size_column_swap(self, kind):
         G = build_group(kind)
         rows = [chi.values for chi in character_table(G)]
-        mixed = [
-            tuple((x + 2 * y) * Fraction(1, 3) for x, y in zip(a, b))
-            for a, b in zip(rows, rows[1:] + rows[:1])
-        ]
-        vectors = rows + mixed + [tuple(3 ** 40 * x for x in rows[-1])]
+        cols = list(zip(*rows))
         sizes = [cls.size for cls in G.classes]
-        products, left, right = _products(G, vectors, vectors)
-        for i, x in enumerate(vectors):
-            sums = [products[p, w] for p, w in zip(left[i], sizes)]
-            for j, y in enumerate(vectors):
-                assert _total(products, sums, right[j]) == _plain_inner(G, x, y)
-        # Columns of r of the vectors, unweighted; most sums are not rational.
-        columns = list(zip(*vectors[-G.num_classes:]))
-        products, left, right = _products(G, columns, columns)
-        for c, x in enumerate(columns):
-            sums = [products[p, 1] for p in left[c]]
-            for cp, y in enumerate(columns):
-                assert _total(products, sums, right[cp]) == _plain_column(G, x, y)
+        for c, d in itertools.combinations(range(G.num_classes), 2):
+            if sizes[c] != sizes[d]:
+                continue
+            bad = CharacterTable(G, [Character(G, row) for row in _swap_columns(rows, c, d)])
+            if c == 0:
+                with pytest.raises(ConsistencyError, match="^character degree .* is not a "
+                                   "positive integer$"):
+                    bad.validate()
+            elif kind == Cyclic(7, 3) or not self._exempt(G, (cols[c], cols[d])):
+                with pytest.raises(ConsistencyError):
+                    bad.validate()
+
+    @pytest.mark.parametrize("kind", [BinaryTetrahedral, Cyclic(12, 5)], ids=str)
+    def test_the_row_relation_refuses_what_the_certificate_passes(self, kind):
+        # Galois-stable integral rows: a doubled row, then a repeated row.
+        G = build_group(kind)
+        rows = [chi.values for chi in character_table(G)]
+        for bad, message in (
+            (rows[:1] + [tuple(2 * v for v in rows[1])] + rows[2:],
+             "<chi_1, chi_1> = 4, expected 1"),
+            (rows[:1] + [rows[2]] + rows[2:], "<chi_1, chi_2> = 1, expected 0"),
+        ):
+            with pytest.raises(ConsistencyError) as err:
+                CharacterTable(G, [Character(G, row) for row in bad]).validate()
+            assert str(err.value) == message
+
+    def test_a_cyclic_table_with_two_classes_swapped_is_refused(self, monkeypatch):
+        # Nothing but validate() proves that class k holds g^k.
+        cyclic_table = klein._cyclic_table
+        monkeypatch.setattr(klein, "_cyclic_table", lambda G: _swap_columns(cyclic_table(G), 1, 2))
+        with pytest.raises(ConsistencyError, match=r"^chi_\d+\(g\^\d+\) is not sigma_"):
+            character_table(build_group.__wrapped__(Cyclic(7, 3)))
 
 
 class TestWeightIndices:

@@ -187,17 +187,22 @@ class TestDecompose:
                 assert sum(t * degrees[i] for i, t in column) == 2 * degrees[j]
                 assert len(column) <= (2 if kind.family == "cyclic" else 4)
 
-    @pytest.mark.parametrize(
-        "change,message",
-        [
-            ("half", "tensor multiplicity 1/2 is not a non-negative integer"),
-            ("negate", "tensor multiplicity -1 is not a non-negative integer"),
-            ("zeta", "inner product of class functions is not rational; "
-                     "inputs are not characters"),
-        ],
-    )
+    # A halved row reads the multiplicity 1/2 as its residue -(p - 1)/2
+    # (p = 2305843009213693921 for m = 12 and 60), and BT's row shifted by
+    # zeta reads another negative residue; BI's shifted row is refused at its
+    # degree.  A negated row reads its multiplicities negated.
+    CORRUPTED = {
+        ("BT", "half"): "tensor multiplicity -1152921504606846960 is not a non-negative integer",
+        ("BT", "negate"): "tensor multiplicity -1 is not a non-negative integer",
+        ("BT", "zeta"): "tensor multiplicity -15200956767814916 is not a non-negative integer",
+        ("BI", "half"): "tensor multiplicity -1152921504606846960 is not a non-negative integer",
+        ("BI", "negate"): "tensor multiplicity -1 is not a non-negative integer",
+        ("BI", "zeta"): "character degree None is not a positive integer",
+    }
+
+    @pytest.mark.parametrize("change", ["half", "negate", "zeta"])
     @pytest.mark.parametrize("kind", [BinaryTetrahedral, BinaryIcosahedral], ids=str)
-    def test_mckay_columns_refuse_a_corrupted_row(self, kind, change, message, monkeypatch):
+    def test_mckay_columns_refuse_a_corrupted_row(self, kind, change, monkeypatch):
         G = build_group(kind)
         rows = [list(chi.values) for chi in character_table(G)]
         rows[2] = {
@@ -209,7 +214,7 @@ class TestDecompose:
         monkeypatch.setattr(sympow, "character_table", lambda G: bad)
         with pytest.raises(ConsistencyError) as err:
             _tensor_matrix(G)
-        assert str(err.value) == message
+        assert str(err.value) == self.CORRUPTED[str(kind), change]
 
     def test_mckay_matrix_multiplies_each_distinct_value_pair_once(self, monkeypatch):
         G = build_group(BinaryDihedral(22))
@@ -236,6 +241,45 @@ class TestDecompose:
             chi = sym_character(G, q)
             for irr in table:
                 assert inner_product(chi, irr) == inner_product(irr, chi)
+
+
+def _arms(T, b):
+    """Edges from branch node b along each of its arms, up to a leaf or a branch node."""
+    r = len(T)
+    arms = []
+    for start in (j for j in range(r) if T[b][j]):
+        prev, node, length = b, start, 1
+        while sum(T[node]) == 2:
+            prev, node = node, next(j for j in range(r) if T[node][j] and j != prev)
+            length += 1
+        arms.append(length)
+    return tuple(sorted(arms))
+
+
+class TestMcKayGraph:
+    # The McKay matrix of a binary polyhedral group is the adjacency matrix
+    # of its affine ADE diagram: a tree whose branch nodes have these arms.
+    @pytest.mark.parametrize(
+        "kind",
+        [BinaryDihedral(n) for n in range(2, 41)]
+        + [BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral],
+        ids=str,
+    )
+    def test_tensor_matrix_is_the_affine_diagram(self, kind):
+        if kind.family == "BD":
+            branches = [(1, 1, 1, 1)] if kind.n == 2 else [(1, 1, kind.n - 2)] * 2
+        else:
+            branches = [{"BT": (2, 2, 2), "BO": (1, 3, 3), "BI": (1, 2, 5)}[kind.family]]
+        G = build_group(kind)
+        r = G.num_classes
+        T = [[0] * r for _ in range(r)]
+        for j, column in enumerate(_tensor_matrix(G)):
+            for i, t in column:
+                T[i][j] = t
+        assert all(T[i][j] == T[j][i] in (0, 1) for i in range(r) for j in range(r))
+        assert not any(T[i][i] for i in range(r))
+        assert sum(map(sum, T)) == 2 * (r - 1)
+        assert [_arms(T, b) for b in range(r) if sum(T[b]) > 2] == branches
 
 
 def _field_det_permutation(G):

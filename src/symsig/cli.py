@@ -6,6 +6,10 @@ character table), `decompose` (multiplicities of Sym^q), `signature`
 bundle calculus).  Output is deterministic: fixed orderings, fixed
 serialization, no timestamps, so identical invocations are byte-identical.
 
+Output is streamed: writers send rows one at a time, and rows whose number
+grows with the input (`decompose`, `elliptic sym`) are generated as they are
+written.  Every check runs while the report is built, before the first byte.
+
 Exact rationals render as "numerator/denominator" with a separate decimal
 field (12 significant digits); cyclotomic values render as polynomials in z
 where z = zeta_m and m is declared in the report header.
@@ -17,9 +21,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from .cyclotomic import ConsistencyError, CycloElement
 from .klein import (
@@ -56,14 +64,15 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# report model: every command produces one Report; renderers never reorder
+# report model: every command produces one Report; writers never reorder
 
 
 @dataclass
 class Section:
     name: str
     columns: list[str]
-    rows: list[list[str]] = field(default_factory=list)
+    rows: Iterable[list[str]]  # consumed once, by one writer
+    reach: Iterable[list[str]]  # rows reaching every pretty width; write_pretty reads it
 
 
 @dataclass
@@ -71,6 +80,14 @@ class Report:
     title: str
     meta: list[tuple[str, str]] = field(default_factory=list)
     sections: list[Section] = field(default_factory=list)
+
+
+def _widths(columns: list[str], rows: Iterable[list[str]]) -> list[int]:
+    """Pretty column widths over the header and rows that reach every width."""
+    widths = [len(c) for c in columns]
+    for row in rows:
+        widths = list(map(max, widths, map(len, row)))
+    return widths
 
 
 def _dec(x) -> str:
@@ -159,22 +176,18 @@ def cmd_table(args) -> Report:
             got = cells[key] = [str(v), _cyclo_dec(v)]
         return got
 
-    classes = Section("classes", ["class", "size", "element_order", "trace", "trace_decimal"])
-    for c, cls in enumerate(G.classes):
-        row = [f"c{c}", str(cls.size), str(G.class_order(c))]
-        classes.rows.append(row + cell(G.class_trace(c)))
-    rep.sections.append(classes)
+    cols = ["class", "size", "element_order", "trace", "trace_decimal"]
+    rows = [
+        [f"c{c}", str(cls.size), str(G.class_order(c))] + cell(G.class_trace(c))
+        for c, cls in enumerate(G.classes)
+    ]
+    rep.sections.append(Section("classes", cols, rows, reach=rows))
 
     cols = ["character", "degree"]
-    for c in range(G.num_classes):
-        cols += [f"c{c}", f"c{c}_decimal"]
-    chars = Section("characters", cols)
-    for i, chi in enumerate(table):
-        row = [f"chi{i}", str(chi.degree)]
-        for v in chi.values:
-            row += cell(v)
-        chars.rows.append(row)
-    rep.sections.append(chars)
+    cols += [f"c{c}{kind}" for c in range(G.num_classes) for kind in ("", "_decimal")]
+    rows = [[f"chi{i}", str(chi.degree)] + [x for v in chi.values for x in cell(v)]
+            for i, chi in enumerate(table)]
+    rep.sections.append(Section("characters", cols, rows, reach=rows))
     return rep
 
 
@@ -190,12 +203,20 @@ def cmd_decompose(args) -> Report:
         ("irreducible_degrees", " ".join(str(d) for d in degrees)),
     ]
     cols = ["q"] + [f"alpha{i}" for i in range(len(table))] + ["dimension"]
-    sec = Section("multiplicities", cols)
-    for q in range(lo, hi + 1):
-        row = decompose(G, q).multiplicities
-        dim = sum(a * d for a, d in zip(row, degrees))
-        sec.rows.append([str(q)] + [str(a) for a in row] + [str(dim)])
-    rep.sections.append(sec)
+
+    def rows(first: int, last: int):
+        for q in range(first, last + 1):
+            row = decompose(G, q).multiplicities
+            dim = sum(a * d for a, d in zip(row, degrees))
+            yield [str(q)] + [str(a) for a in row] + [str(dim)]
+
+    # The last min(m, HI - LO + 1) rows, held in O(m r), reach every width:
+    # _period_rows checks each step alpha_(q+m) - alpha_q >= 0, so every alpha
+    # column is non-decreasing along each residue class mod m, and q and q + 1
+    # grow.  They also build the period table before the first byte is written.
+    mid = max(lo, hi - G.m + 1)
+    tail = list(rows(mid, hi))
+    rep.sections.append(Section("multiplicities", cols, chain(rows(lo, mid - 1), tail), tail))
     return rep
 
 
@@ -223,16 +244,18 @@ def cmd_signature(args) -> Report:
         rep.meta.append(
             ("note", "trivial summand: syzygy and differential signatures coincide")
         )
-    sec = Section("signature", ["quantity", "exact", "decimal"])
     b_sum = (N + 1) * (N + 2) // 2
-    sec.rows.append(["partial_ratio", f"{series.a_sum}/{b_sum}", _dec(series.partial_ratio)])
-    sec.rows.append(["limit", _frac(series.limit), _dec(series.limit)])
     true_err = abs(series.partial_ratio - series.limit)
-    sec.rows.append(["true_error", _frac(true_err), _dec(true_err)])
-    sec.rows.append(["error_bound", _frac(series.bound), _dec(series.bound)])
+    rows = [
+        ["partial_ratio", f"{series.a_sum}/{b_sum}", _dec(series.partial_ratio)],
+        ["limit", _frac(series.limit), _dec(series.limit)],
+        ["true_error", _frac(true_err), _dec(true_err)],
+        ["error_bound", _frac(series.bound), _dec(series.bound)],
+    ]
     if gap is not None:
-        sec.rows.append(["oscillation_gap", _frac(gap), _dec(gap)])
-    rep.sections.append(sec)
+        rows.append(["oscillation_gap", _frac(gap), _dec(gap)])
+    cols = ["quantity", "exact", "decimal"]
+    rep.sections.append(Section("signature", cols, rows, reach=rows))
     return rep
 
 
@@ -240,6 +263,16 @@ def _horizon_ladder(N: int) -> list[int]:
     """1, 2, 4, ... up to N, then N itself (N >= 1)."""
     out = [1 << k for k in range(N.bit_length())]
     return out if out[-1] == N else out + [N]
+
+
+def _sym_rows(lo: int, hi: int):
+    for q in range(lo, hi + 1):
+        e = sym_cotangent(q)
+        a = e.atoms[0]
+        desc = f"O({a.data})" if a.variant == "line" else f"F_{a.rank} (x) O({a.data})"
+        fr = free_rank(e)
+        yield [str(q), desc, str(rank(e)), str(degree(e)), _frac(slope(e)), _dec(slope(e)),
+               str(fr.value), "exact" if fr.exact else "upper_bound"]
 
 
 def cmd_elliptic(args) -> Report:
@@ -250,28 +283,11 @@ def cmd_elliptic(args) -> Report:
         lo, hi = parse_q_range(args.q) if args.q is not None else (0, 8)
         rep = Report(title="symmetric powers of the restricted cotangent bundle")
         rep.meta = [("curve", "plane cubic"), ("identity", "Sym^q = F_(q+1) (x) O(q)")]
-        sec = Section(
-            "bundles",
-            ["q", "bundle", "rank", "degree", "slope", "slope_decimal", "free_rank", "free_rank_kind"],
-        )
-        for q in range(lo, hi + 1):
-            e = sym_cotangent(q)
-            a = e.atoms[0]
-            desc = f"O({a.data})" if a.variant == "line" else f"F_{a.rank} (x) O({a.data})"
-            fr = free_rank(e)
-            sec.rows.append(
-                [
-                    str(q),
-                    desc,
-                    str(rank(e)),
-                    str(degree(e)),
-                    _frac(slope(e)),
-                    _dec(slope(e)),
-                    str(fr.value),
-                    "exact" if fr.exact else "upper_bound",
-                ]
-            )
-        rep.sections.append(sec)
+        cols = ["q", "bundle", "rank", "degree", "slope", "slope_decimal", "free_rank",
+                "free_rank_kind"]
+        # Pretty widths take a first pass over the rows: they are not monotone
+        # in q, since %.12g turns slope_decimal into exponent form at large q.
+        rep.sections.append(Section("bundles", cols, _sym_rows(lo, hi), _sym_rows(lo, hi)))
         return rep
 
     if args.q is not None:
@@ -282,7 +298,7 @@ def cmd_elliptic(args) -> Report:
     if which == "dsigma":
         rep = Report(title="differential symmetric signature partial sums (elliptic cone)")
         rep.meta = [("limit", "0"), ("closed_form", "2/((N+1)(N+2))")]
-        sec, value = Section("partial_sums", ["N", "exact", "decimal"]), dsigma_partial
+        name, value = "partial_sums", dsigma_partial
     else:
         rep = Report(title="upper bound for the syzygy symmetric signature (elliptic cone)")
         rep.meta = [
@@ -292,68 +308,82 @@ def cmd_elliptic(args) -> Report:
             ("limit_superior_bound", "1/2"),
             ("exact_value", "unknown"),
         ]
-        sec, value = Section("bounds", ["N", "exact", "decimal"]), sigma_upper_bound
-    for h in _horizon_ladder(N):
-        v = value(h)
-        sec.rows.append([str(h), _frac(v), _dec(v)])
-    rep.sections.append(sec)
+        name, value = "bounds", sigma_upper_bound
+    ladder = _horizon_ladder(N)
+    rows = [[str(h), _frac(v), _dec(v)] for h, v in zip(ladder, map(value, ladder))]
+    cols = ["N", "exact", "decimal"]
+    rep.sections.append(Section(name, cols, rows, reach=rows))
     return rep
 
 
 # ---------------------------------------------------------------------------
-# renderers
+# writers: each sends a report to `out` one row at a time
 
 
-def render_pretty(rep: Report) -> str:
-    out = [rep.title]
+def write_pretty(rep: Report, out) -> None:
+    section_widths = [_widths(sec.columns, sec.reach) for sec in rep.sections]
+    out.write(rep.title + "\n")
     for k, v in rep.meta:
-        out.append(f"{k}: {v}")
-    for sec in rep.sections:
-        out.append("")
-        out.append(f"[{sec.name}]")
-        widths = [len(c) for c in sec.columns]
-        for row in sec.rows:
-            for j, cell in enumerate(row):
-                widths[j] = max(widths[j], len(cell))
+        out.write(f"{k}: {v}\n")
+    for sec, widths in zip(rep.sections, section_widths):
         header = " | ".join(c.ljust(w) for c, w in zip(sec.columns, widths))
-        out.append(header.rstrip())
-        out.append("-+-".join("-" * w for w in widths))
+        out.write(f"\n[{sec.name}]\n{header.rstrip()}\n")
+        out.write("-+-".join("-" * w for w in widths) + "\n")
         for row in sec.rows:
-            out.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+            out.write(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
 
-def render_csv(rep: Report) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\r\n")
+def write_csv(rep: Report, out) -> None:
+    w = csv.writer(out, lineterminator="\r\n")
     w.writerow(["title", rep.title])
     for k, v in rep.meta:
         w.writerow(["meta", k, v])
     for sec in rep.sections:
         w.writerow(["section", sec.name])
         w.writerow(sec.columns)
+        w.writerows(sec.rows)
+
+
+_jstr = json.encoder.encode_basestring
+
+
+def _json_row(columns: list[str], row: list[str]) -> str:
+    """dict(zip(columns, row)) as json.dumps(..., indent=2) writes it at depth 4,
+    with the escaper json.dumps uses under ensure_ascii=False."""
+    body = ",\n          ".join(f"{_jstr(k)}: {_jstr(v)}" for k, v in zip(columns, row))
+    return "{\n          " + body + "\n        }" if body else "{}"
+
+
+def write_json(rep: Report, out) -> None:
+    """Byte for byte json.dumps(doc, indent=2, ensure_ascii=False) + "\\n".
+
+    The document is dumped with the placeholder rows [0], and each section's
+    rows are written one at a time in its place.  The placeholder is found by
+    its raw newlines, which no JSON string holds."""
+    doc = {"title": rep.title, "meta": dict(rep.meta), "sections": [
+        {"name": sec.name, "columns": sec.columns, "rows": [0]} for sec in rep.sections]}
+    head, *tails = json.dumps(doc, indent=2, ensure_ascii=False).split("[\n        0\n      ]")
+    out.write(head)
+    for sec, tail in zip(rep.sections, tails):
+        sep = "[\n        "
         for row in sec.rows:
-            w.writerow(row)
+            out.write(sep + _json_row(sec.columns, row))
+            sep = ",\n        "
+        out.write(("[]" if sep[0] == "[" else "\n      ]") + tail)
+    out.write("\n")
+
+
+WRITERS = {"pretty": write_pretty, "csv": write_csv, "json": write_json}
+
+
+def _text(write, rep: Report) -> str:
+    buf = io.StringIO()
+    write(rep, buf)
     return buf.getvalue()
 
 
-def render_json(rep: Report) -> str:
-    doc = {
-        "title": rep.title,
-        "meta": {k: v for k, v in rep.meta},
-        "sections": [
-            {
-                "name": sec.name,
-                "columns": sec.columns,
-                "rows": [dict(zip(sec.columns, row)) for row in sec.rows],
-            }
-            for sec in rep.sections
-        ],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-RENDERERS = {"pretty": render_pretty, "csv": render_csv, "json": render_json}
+# Each writer into a string, for callers that need the whole text in memory.
+RENDERERS = {fmt: partial(_text, write) for fmt, write in WRITERS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +450,21 @@ def main(argv=None) -> int:
             for line in run_selfcheck():
                 print(line, file=sys.stderr)
         report = args.fn(args)
-        text = RENDERERS[args.format](report)
+        write = WRITERS[args.format]
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
+                    write(report, fh)
             except OSError as exc:
                 raise UsageError(f"cannot write the report: {exc}") from exc
         else:
-            sys.stdout.write(text)
+            try:
+                write(report, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader has gone (`symsig ... | head`), which ends the run
+                # normally; on devnull, the interpreter's final flush cannot raise.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -240,7 +240,15 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
         for i, w in enumerate(weights):
             a = image.signed(sum(map(mul, w, xs)))
             if a < 0:
-                raise ConsistencyError(f"tensor multiplicity {a} is not a non-negative integer")
+                # A true T[i][j] lies in [0, 2 d_j], as sum_i T[i][j] d_i = 2 d_j;
+                # a negated row j reads -T[i][j].  A residue past 2 |chi_j(1)| is
+                # neither, so it is no multiplicity and is not printed.
+                d = table[j].values[0].to_rational()  # unchecked: row j may be wrong
+                if d is not None and -a <= 2 * abs(d):
+                    raise ConsistencyError(f"tensor multiplicity {a} is not a non-negative integer")
+                raise ConsistencyError(
+                    f"<chi_{i}, chi_V * chi_{j}> is not an integer in [0, 2 d_{j}]"
+                )
             if a:
                 column.append((i, a))
         if sum(a * table[i].degree for i, a in column) != 2 * table[j].degree:

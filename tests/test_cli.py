@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ import pytest
 import symsig.cli as cli
 from symsig import selfcheck
 from symsig.cyclotomic import ConsistencyError
+from symsig.klein import build_group
+from test_golden import COMMANDS, GROUPS, SHA256, SINGLE
 
 
 def run(*argv):
@@ -25,6 +28,15 @@ def run(*argv):
 
 def csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+def pretty_section(columns, rows):
+    """One section's pretty layout, with widths taken over all of its rows."""
+    widths = [max(map(len, cells)) for cells in zip(columns, *rows)]
+    lines = [" | ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+             for row in [columns] + rows]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
 
 
 class TestGroupSpecParsing:
@@ -104,8 +116,44 @@ class TestExitCodes:
             raise ConsistencyError("forced failure")
 
         monkeypatch.setattr(cli, "cmd_table", boom)
-        code, _, err = run("table", "BT")
-        assert code == 1 and "internal consistency failure" in err
+        code, out, err = run("table", "BT")
+        assert code == 1 and not out and "internal consistency failure" in err
+
+    def test_refused_decompose_writes_nothing(self, monkeypatch, tmp_path):
+        def boom(G, q):
+            raise ConsistencyError("forced failure")
+
+        monkeypatch.setattr(cli, "decompose", boom)
+        path = tmp_path / "report.txt"
+        for extra in ((), ("--output", str(path))):
+            code, out, err = run("decompose", "BT", "0..5", *extra)
+            assert code == 1 and not out and err.startswith("internal consistency failure")
+        assert not path.exists()
+
+
+class TestClosedReader:
+    """A reader that closes early ends the run with status 0 and no stderr."""
+
+    CLI = [sys.executable, "-m", "symsig.cli"]
+
+    def test_reader_gone_before_the_first_write(self):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run(
+                [*self.CLI, "table", "BT"], stdout=w, stderr=subprocess.PIPE, timeout=60
+            )
+        finally:
+            os.close(w)
+        assert done.returncode == 0 and not done.stderr
+
+    def test_reader_leaves_mid_write(self):
+        cmd = [*self.CLI, "decompose", "BD:5", "0..30000"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+            assert child.stdout.read(1000)
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 0 and not err
 
 
 class TestHugeHorizon:
@@ -242,6 +290,101 @@ class TestReports:
             (r[0], r[1]) for r in rows[rows.index(header) + 1 :]
         }
         assert json_pairs == csv_pairs
+
+
+class TestStreaming:
+    """Writers send rows as they are generated; the bytes are those of a
+    report built whole."""
+
+    @staticmethod
+    def check_widths(name, *argv):
+        # The CSV report carries every row's cells; lay them out with widths
+        # over all rows and compare with the streamed pretty section.
+        code, pretty, _ = run(*argv)
+        _, text, _ = run(*argv, "--format", "csv")
+        rows = csv_rows(text)
+        start = rows.index(["section", name]) + 1
+        assert code == 0
+        assert pretty.split(f"\n[{name}]\n")[1] == pretty_section(rows[start], rows[start + 1 :])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [f"BD:{n}" for n in range(2, 13)] + ["BT", "BO", "BI", "cyclic:7,3", "cyclic:12,5"],
+    )
+    def test_decompose_widths_are_those_of_all_rows(self, spec):
+        m = build_group(cli.parse_group_spec(spec)).m
+        for lo in (0, 7, 10**12 + 7):  # far rows have cells wider than their headers
+            for span in (0, 1, m - 1, m, 3 * m + 5):
+                self.check_widths("multiplicities", "decompose", spec, f"{lo}..{lo + span}")
+
+    def test_decompose_width_reached_first_in_the_last_m_rows(self):
+        # BD:2 has m = 4; alpha0 reaches 8 digits at q = 39999996 only, the
+        # first of the last m rows.
+        self.check_widths("multiplicities", "decompose", "BD:2", "39999990..39999999")
+
+    # slope_decimal narrows from 2.99999999999e+12 to 3e+12 within the middle range.
+    @pytest.mark.parametrize(
+        "q", ["0..40", "999999999998..1000000000000", "1000000000000000..1000000000000003"]
+    )
+    def test_elliptic_sym_widths_are_those_of_all_rows(self, q):
+        self.check_widths("bundles", "elliptic", "sym", q)
+
+    GOLDEN_PANEL = [
+        [arg.format(g=g) for arg in COMMANDS[command]] for command in COMMANDS for g in GROUPS
+    ] + [key.split() for key in (*SHA256, *SINGLE) if isinstance(key, str)]
+
+    @pytest.mark.parametrize("argv", GOLDEN_PANEL, ids=" ".join)
+    def test_json_is_json_dumps_of_its_document(self, argv):
+        code, out, _ = run(*argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n"
+
+    def test_json_of_empty_parts_and_escaped_strings(self):
+        odd = 'q"\\\n\t\x01é€'
+        rep = cli.Report(
+            odd,
+            [],
+            [
+                cli.Section("empty", [odd], [], [len(odd)]),
+                cli.Section(odd, ["a", odd], [["1", odd], [odd, ""]], [1, 1]),
+            ],
+        )
+        doc = {
+            "title": odd,
+            "meta": {},
+            "sections": [
+                {"name": "empty", "columns": [odd], "rows": []},
+                {"name": odd, "columns": ["a", odd],
+                 "rows": [{"a": "1", odd: odd}, {"a": odd, odd: ""}]},
+            ],
+        }
+        want = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert cli.RENDERERS["json"](rep) == want
+        assert cli.RENDERERS["json"](cli.Report("t", [("k", "v")], [])) == (
+            json.dumps({"title": "t", "meta": {"k": "v"}, "sections": []}, indent=2) + "\n"
+        )
+
+    SCRIPT = (
+        "import resource, sys\n"
+        "from symsig.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+
+    def test_peak_memory_does_not_grow_with_the_rows_written(self, tmp_path):
+        peaks = []
+        for q in ("0..100", "0..30000"):
+            argv = ["decompose", "BD:5", q, "--format", "json", "--output", str(tmp_path / "r")]
+            done = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, *argv], capture_output=True, text=True,
+                timeout=60,
+            )
+            code, peak_kb = map(int, done.stdout.split())
+            assert code == 0 and not done.stderr
+            peaks.append(peak_kb)
+        # ru_maxrss is in KiB on Linux.  Holding the whole report of 0..30000
+        # before writing it took about 90 MB more than 0..100.
+        assert peaks[1] <= peaks[0] + 3 * 1024, peaks
 
 
 class TestDeterminism:

@@ -189,13 +189,14 @@ class TestDecompose:
 
     # A halved row reads the multiplicity 1/2 as its residue -(p - 1)/2
     # (p = 2305843009213693921 for m = 12 and 60), and BT's row shifted by
-    # zeta reads another negative residue; BI's shifted row is refused at its
-    # degree.  A negated row reads its multiplicities negated.
+    # zeta reads another negative residue: both lie past 2 |chi_j(1)|, so the
+    # message names the inner product, not the residue.  BI's shifted row is
+    # refused at its degree.  A negated row reads its multiplicities negated.
     CORRUPTED = {
-        ("BT", "half"): "tensor multiplicity -1152921504606846960 is not a non-negative integer",
+        ("BT", "half"): "<chi_4, chi_V * chi_2> is not an integer in [0, 2 d_2]",
         ("BT", "negate"): "tensor multiplicity -1 is not a non-negative integer",
-        ("BT", "zeta"): "tensor multiplicity -15200956767814916 is not a non-negative integer",
-        ("BI", "half"): "tensor multiplicity -1152921504606846960 is not a non-negative integer",
+        ("BT", "zeta"): "<chi_2, chi_V * chi_0> is not an integer in [0, 2 d_0]",
+        ("BI", "half"): "<chi_2, chi_V * chi_0> is not an integer in [0, 2 d_0]",
         ("BI", "negate"): "tensor multiplicity -1 is not a non-negative integer",
         ("BI", "zeta"): "character degree None is not a positive integer",
     }

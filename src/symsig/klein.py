@@ -4,9 +4,10 @@ The five families — cyclic, binary dihedral, binary tetrahedral, binary
 octahedral, binary icosahedral — are constructed as explicit 2x2 matrix
 groups over one cyclotomic field per group (the field of the group exponent,
 so every eigenvalue of every element lives there).  Generator matrices are
-data, not trusted facts: enumeration re-derives the order, determinants,
-element orders and conjugacy classes, and hard-fails if anything disagrees
-with the advertised family.
+data, not trusted facts: enumeration re-derives the order, the determinants
+(1 in SL(2)), the eigenvalues (roots of unity in the field), the conductor
+(the lcm of the element orders), the largest element order (which tells the
+families of one order apart) and the classes, and hard-fails on a mismatch.
 
 Cyclic(n, a) supports any weight a coprime to n.  For a = n-1 the group lies
 in SL(2) (the A_{n-1} case, invariant ring k[u,v]^G with equation y^n = xz);
@@ -26,15 +27,15 @@ every element as a word in the generators.  Products, inverses, conjugacy
 classes and cyclic subgroups are then worked out on element indices.
 
 Character tables are computed, never transcribed.  Cyclic tables come from
-the explicit weight characters; the non-abelian families run a tensor-peeling
-loop over a queue of two parts.  It first walks the McKay graph from the
-trivial character, peeling fund * chi for each irreducible chi the walk finds.
-Plain tensor-peeling stalls on clumped remainders (e.g. the three linear
-characters of the quaternion group arrive as one norm-3 remainder), so the
-loop then draws characters induced from the cyclic subgroups generated by
-class representatives, class by class.  Seeds and products are built only
+the explicit weight characters; the non-abelian families run one
+tensor-peeling loop.  It walks the McKay graph from the trivial character,
+peeling fund * chi for each irreducible chi the walk finds.  Plain
+tensor-peeling stalls on clumped remainders (e.g. the three linear characters
+of the quaternion group arrive as one norm-3 remainder), so while the walk is
+empty the loop draws characters induced from the cyclic subgroups generated
+by class representatives, class by class.  Seeds and products are built only
 when drawn, and a vector drawn twice is peeled once, so discovery peels about
-r vectors.  It ends once r irreducibles are registered; a queue that runs dry
+r vectors.  It ends once r irreducibles are registered; running out of seeds
 first raises ConsistencyError.  Discovery only searches, reading each
 multiplicity and norm in F_p (exact, as every vector it draws is a
 character).  validate() proves the table in the same F_p image.  Its values
@@ -52,7 +53,6 @@ columns follow.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -402,6 +402,14 @@ def build_group(kind: GroupKind) -> KleinGroup:
             f"conductor mismatch for {kind}: field has m={m}, "
             f"element orders give lcm={math.lcm(*element_orders)}"
         )
+    # Among the finite subgroups of SL(2) of one order, the largest element
+    # order tells the families apart: |G| for cyclic, |G|/2 for BD:n, and at
+    # most 10 for BT, BO and BI.
+    largest = {"cyclic": target, "BD": target // 2, "BT": 6, "BO": 8, "BI": 10}[kind.family]
+    if max(element_orders) != largest:
+        raise ConsistencyError(
+            f"the largest element order of {kind} is {max(element_orders)}, expected {largest}"
+        )
     elements = tuple(Matrix2(*(ids.values[v] for v in x)) for x in elements)
     index = {x.key(): i for i, x in enumerate(elements)}
 
@@ -495,40 +503,8 @@ class Character:
             raise ConsistencyError(f"character degree {d!r} is not a positive integer")
         return int(d)
 
-    def sort_key(self) -> "_TableOrder":
-        """Table order: degree, then the values class by class, each by its
-        power-basis coefficients."""
-        return _TableOrder(self.degree, self.values)
-
     def __repr__(self):
         return f"Character({self.group.kind}, deg={self.values[0]})"
-
-
-class _TableOrder:
-    """Sort key for :meth:`Character.sort_key`.
-
-    Compares exactly, with no Fractions built: coefficient j of two values
-    x = num_x / den_x and y = num_y / den_y compare as num_x[j] * den_y
-    against num_y[j] * den_x (denominators are positive), and the comparison
-    stops at the first difference.
-    """
-
-    __slots__ = ("degree", "values")
-
-    def __init__(self, degree: int, values):
-        self.degree = degree
-        self.values = values
-
-    def __lt__(self, other: "_TableOrder") -> bool:
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        for x, y in zip(self.values, other.values):
-            if x.num == y.num and x.den == y.den:
-                continue
-            for a, b in zip(x.num, y.num):
-                if a * y.den != b * x.den:
-                    return a * y.den < b * x.den
-        return False
 
 
 def fundamental_character(G: KleinGroup) -> Character:
@@ -684,12 +660,12 @@ def _subgroup_hits(G: KleinGroup, c: int) -> list[list[int]]:
 def _induced_from_cyclic(G: KleinGroup, c: int):
     """Characters induced from the linear characters of <rep of class c>, one per draw.
 
-    Frobenius reciprocity makes this pool rich enough to separate every
-    irreducible: the restriction of any irreducible to a cyclic subgroup
-    contains some linear character, so the irreducible appears in the
-    corresponding induced character.
+    By Frobenius reciprocity every irreducible is a constituent of some of
+    them: its restriction to a cyclic subgroup contains a linear character.
+    Peeling them alone still does not isolate every irreducible (it stalls
+    on BT, BO and BI); the McKay walk of discovery does.
 
-    Each comes as one key per class, built into a value by ``_SeedQueue``:
+    Each comes as one key per class, built into a value by ``_discover_table``:
     None for 0, (count, d, exponents) for (count / d) * sum of zeta^e over e.
     """
     hit_counts = _subgroup_hits(G, c)
@@ -705,53 +681,6 @@ def _induced_from_cyclic(G: KleinGroup, c: int):
         for cp, count, powers in reached:
             keys[cp] = (count, d, tuple(sorted(step * t * s % m for s in powers)))
         yield keys
-
-
-class _SeedQueue:
-    """Discovery's work queue, drawn in two parts: the walk, then the
-    characters induced from each class in turn.
-
-    The walk holds factors chi and yields fund * chi, multiplied only when
-    drawn.  It starts from the trivial character, and each irreducible
-    registered from a walk vector extends it (``walk``), so it steps along
-    the McKay graph and holds at most r + 1 factors.  A seed is built only
-    when drawn, and each distinct seed value once per queue.  The queue is
-    finite: at most r + 1 walk draws and sum_c order(rep_c) seeds.
-    """
-
-    __slots__ = ("_fund", "_walk", "_seeds", "_left", "_ids", "_keys")
-
-    def __init__(self, G: KleinGroup, fund):
-        r = G.num_classes
-        self._fund = fund
-        self._ids = ValueIds(G.ctx)
-        self._keys = {None: 0}  # seed value key -> value id
-        self._walk = deque([_trivial_values(G)])
-        self._seeds = itertools.chain(*(_induced_from_cyclic(G, c) for c in range(r)))
-        self._left = sum(G.class_order(c) for c in range(r))
-
-    def __bool__(self) -> bool:
-        return bool(self._walk) or self._left > 0
-
-    def walk(self, chi) -> None:
-        self._walk.append(chi)
-
-    def _value(self, key) -> CycloElement:
-        i = self._keys.get(key)
-        if i is None:
-            count, d, exponents = key
-            counts = [0] * self._ids.ctx.m
-            for e in exponents:
-                counts[e] += count
-            i = self._keys[key] = self._ids.from_counts(counts, d)
-        return self._ids.values[i]
-
-    def popleft(self):
-        """The next vector, and whether it came from the walk."""
-        if self._walk:
-            return tuple(x * y for x, y in zip(self._walk.popleft(), self._fund)), True
-        self._left -= 1
-        return tuple(map(self._value, next(self._seeds))), False
 
 
 def _peel(image: FpImage, vec, found):
@@ -801,16 +730,43 @@ def _conj_weights(G: KleinGroup, image: FpImage, vec) -> list[int]:
 
 
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
-    """Tensor-peeling along the McKay graph, with induced-character seeds, in F_p."""
+    """Tensor-peeling along the McKay graph, with induced-character seeds, in F_p.
+
+    The walk is a deque of found irreducibles, from the trivial character
+    on; a drawn factor chi yields fund * chi, multiplied only then, and each
+    irreducible registered from a walk vector joins it, so it steps along
+    the McKay graph.  While it is empty, the next seed is drawn, each
+    distinct seed value built once.  The loop ends: there are at most r + 1
+    walk draws and sum_c order(rep_c) seeds.
+    """
     r = G.num_classes
-    fund = tuple(fundamental_character(G).values)
+    fund = fundamental_character(G).values
     image = fp_image(G.ctx)
     trivial = _trivial_values(G)
     found = [(trivial, _conj_weights(G, image, trivial))]
-    queue = _SeedQueue(G, fund)
-    peeled = set()  # the (num, den) tuples of every vector peeled from the queue
-    while queue and len(found) < r:
-        vec, walked = queue.popleft()
+    walk = deque([trivial])
+    seeds = (keys for c in range(r) for keys in _induced_from_cyclic(G, c))
+    ids = ValueIds(G.ctx)
+    seed_ids = {None: 0}  # seed value key -> value id
+    peeled = set()  # the (num, den) tuples of every vector peeled
+    while len(found) < r:
+        walked = bool(walk)
+        if walked:
+            vec = tuple(x * y for x, y in zip(walk.popleft(), fund))
+        else:
+            keys = next(seeds, None)
+            if keys is None:
+                raise ConsistencyError(
+                    f"character discovery stalled for {G.kind}: "
+                    f"{len(found)} of {r} irreducibles found"
+                )
+            for k in set(keys) - seed_ids.keys():
+                count, d, exponents = k
+                counts = [0] * G.m
+                for e in exponents:
+                    counts[e] += count
+                seed_ids[k] = ids.from_counts(counts, d)
+            vec = tuple(ids.values[seed_ids[k]] for k in keys)
         key = tuple((v.num, v.den) for v in vec)
         if key in peeled:
             continue
@@ -826,12 +782,7 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
             raise ConsistencyError(f"norm-1 remainder with bad degree {deg!r}")
         found.append((vec, conj_vec))
         if walked:
-            queue.walk(vec)
-    if len(found) < r:
-        raise ConsistencyError(
-            f"character discovery stalled for {G.kind}: "
-            f"{len(found)} of {r} irreducibles found"
-        )
+            walk.append(vec)
     return [vec for vec, _ in found]
 
 
@@ -855,16 +806,13 @@ def cyclic_weight_indices(G: KleinGroup) -> dict[int, int]:
             break
     if gen_class is None:
         raise ConsistencyError(f"generator class not found for {G.kind}")
-    indices = {}
-    for s in range(n):
-        target = G.ctx.zeta(step * s)
-        hits = [i for i, chi in enumerate(table) if chi.values[gen_class] == target]
-        if len(hits) != 1:
-            raise ConsistencyError(
-                f"weight {s} matches {len(hits)} table rows for {G.kind}"
-            )
-        indices[s] = hits[0]
-    return indices
+    weight_of = {G.ctx.zeta(step * s): s for s in range(n)}
+    row_of = {weight_of.get(chi.values[gen_class]): i for i, chi in enumerate(table)}
+    if None in row_of or len(row_of) != n:
+        raise ConsistencyError(
+            f"the table rows of {G.kind} do not take the weights 0..{n - 1} one to one"
+        )
+    return {s: row_of[s] for s in range(n)}
 
 
 def character_table(G: KleinGroup) -> CharacterTable:
@@ -880,9 +828,11 @@ def character_table(G: KleinGroup) -> CharacterTable:
     head = [chi for chi in chars if chi.values == trivial]
     if len(head) != 1:
         raise ConsistencyError("expected exactly one trivial character")
+    # Degree, then the values class by class by power-basis numerators: the
+    # coefficients, as validate() refuses every denominator but 1.
     rest = sorted(
         (chi for chi in chars if chi.values != trivial),
-        key=Character.sort_key,
+        key=lambda chi: (chi.degree, [v.num for v in chi.values]),
     )
     table = CharacterTable(G, head + rest)
     table.validate()

@@ -124,6 +124,13 @@ class TestConstruction:
             (Cyclic(5, 2), lambda gens, ctx: [Matrix2(
                 ctx.zeta(1), ctx.one, ctx.zero, ctx.zeta(2))],
              "non-diagonal element outside SL(2)"),
+            # a binary dihedral group of the same order and conductor
+            (BinaryTetrahedral, lambda gens, ctx, g=klein._generators: g(BinaryDihedral(6), ctx),
+             "the largest element order of BT is 12, expected 6"),
+            (BinaryOctahedral, lambda gens, ctx, g=klein._generators: g(BinaryDihedral(12), ctx),
+             "the largest element order of BO is 24, expected 8"),
+            (BinaryIcosahedral, lambda gens, ctx, g=klein._generators: g(BinaryDihedral(30), ctx),
+             "the largest element order of BI is 60, expected 10"),
         ],
     )
     def test_corrupted_generators_are_refused(self, kind, corrupt, message, monkeypatch):
@@ -430,39 +437,32 @@ class TestOperationCounts:
     def test_discovery_multiplies_only_the_vectors_it_draws(self, monkeypatch):
         G = build_group.__wrapped__(BinaryIcosahedral)
         fundamental_character(G)
-        counts = {"products": 0, "draws": 0, "seeds": 0, "factors": 1}  # the walk starts from 1
+        counts = {"products": 0, "draws": 0, "factors": 0}
         mul = CycloElement.__mul__
-        induce = klein._induced_from_cyclic
-        popleft = klein._SeedQueue.popleft
 
         def counted_mul(self, other):
             counts["products"] += 1
             return mul(self, other)
 
-        def counted_seeds(G, c):
-            for vec in induce(G, c):
-                counts["seeds"] += 1
-                yield vec
+        class CountedWalk(deque):
+            def __init__(self, factors=()):
+                super().__init__(factors)
+                counts["factors"] += len(self)
 
-        def counted_popleft(queue):
-            counts["draws"] += 1
-            return popleft(queue)
+            def append(self, chi):
+                counts["factors"] += 1
+                super().append(chi)
+
+            def popleft(self):
+                counts["draws"] += 1
+                return super().popleft()
 
         monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
-        monkeypatch.setattr(klein, "_induced_from_cyclic", counted_seeds)
-        monkeypatch.setattr(klein._SeedQueue, "popleft", counted_popleft)
-        push = klein._SeedQueue.walk
-
-        def counted_push(queue, chi):
-            counts["factors"] += 1
-            return push(queue, chi)
-
-        monkeypatch.setattr(klein._SeedQueue, "walk", counted_push)
+        monkeypatch.setattr(klein, "deque", CountedWalk)
         klein._discover_table(G)
-        drawn = counts["draws"] - counts["seeds"]
         # each walk factor is multiplied by fund once, when it is drawn
-        assert 0 < drawn <= counts["factors"]
-        assert counts["products"] == G.num_classes * drawn
+        assert 0 < counts["draws"] <= counts["factors"]
+        assert counts["products"] == G.num_classes * counts["draws"]
 
     def test_induced_seeds_build_only_the_reached_classes(self, monkeypatch):
         calls = 0
@@ -534,23 +534,14 @@ class TestOperationCounts:
         assert products == 0
 
     def test_a_dry_queue_stalls_discovery(self, monkeypatch):
-        # On Q8 the queue yields chi_a + chi_b (norm 2, not an irreducible)
-        # and then runs dry: discovery refuses to return a partial table.
+        # With no seeds, Q8's walk finds V, then peels V * V to a norm-3 clump
+        # of three linear characters and runs dry: discovery refuses to
+        # return a partial table.
         G = build_group(BinaryDihedral(2))
-        linear = [chi.values for chi in character_table(G) if chi.degree == 1][1:]
-        script = deque([tuple(x + y for x, y in zip(linear[0], linear[1]))])
-
-        class Scripted(klein._SeedQueue):
-            def __bool__(self):
-                return bool(script)
-
-            def popleft(self):
-                return script.popleft(), False
-
-        monkeypatch.setattr(klein, "_SeedQueue", Scripted)
+        monkeypatch.setattr(klein, "_induced_from_cyclic", lambda G, c: iter(()))
         with pytest.raises(
             ConsistencyError,
-            match=r"character discovery stalled for BD:2: 1 of 5 irreducibles found",
+            match=r"character discovery stalled for BD:2: 2 of 5 irreducibles found",
         ):
             klein._discover_table(G)
 
@@ -610,6 +601,19 @@ class TestCharacterTable:
     def test_degree_multisets(self, kind, degrees):
         table = character_table(build_group(kind))
         assert tuple(sorted(table.degrees)) == degrees
+
+    @pytest.mark.parametrize(
+        "kind",
+        [BinaryDihedral(n) for n in range(2, 41)]
+        + [BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral, Cyclic(60, 7), Cyclic(120, 1)],
+        ids=str,
+    )
+    def test_rows_follow_the_trivial_character_by_degree_then_coefficients(self, kind):
+        G = build_group(kind)
+        table = character_table(G)
+        assert table[0].values == (G.ctx.one,) * G.num_classes
+        keys = [(chi.degree, tuple(v.coeffs for v in chi.values)) for chi in table[1:]]
+        assert keys == sorted(keys)
 
     def test_cyclic_tables_are_linear(self):
         for n, a in ((2, 1), (6, 5), (7, 3)):
@@ -916,3 +920,30 @@ class TestDiscoveryPremises:
         assert len(klein._discover_table(G)) == G.num_classes
         if kind.family == "BD":
             assert not any(drawn[3:])
+
+    @pytest.mark.parametrize(
+        "kind,found",
+        [(BinaryTetrahedral, 4), (BinaryOctahedral, 1), (BinaryIcosahedral, 1)]
+        + [(BinaryDihedral(n), None) for n in (2, 3, 5, 12, 30)],
+        ids=str,
+    )
+    def test_the_seeds_alone_stall_on_the_exceptional_groups(self, kind, found, monkeypatch):
+        # Every irreducible is a constituent of some seed, but on BT, BO and
+        # BI only the McKay walk isolates all of them.
+        class NoWalk(deque):
+            def __init__(self, factors=()):
+                super().__init__()
+
+            def append(self, chi):
+                pass
+
+        monkeypatch.setattr(klein, "deque", NoWalk)
+        G = build_group(kind)
+        if found is None:
+            assert len(klein._discover_table(G)) == G.num_classes
+            return
+        with pytest.raises(ConsistencyError) as err:
+            klein._discover_table(G)
+        assert str(err.value) == (
+            f"character discovery stalled for {kind}: {found} of {G.num_classes} irreducibles found"
+        )

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symsig import sympow
-from symsig.cyclotomic import ConsistencyError, CycloElement
+from symsig.cyclotomic import ConsistencyError, CycloElement, FpImage
 from symsig.klein import (
     BinaryDihedral,
     BinaryIcosahedral,
@@ -234,6 +234,22 @@ class TestDecompose:
         _tensor_matrix(G)
         # 625 products when each fund * chi_j was taken value by value
         assert 0 < calls <= len(pairs)
+
+    def test_mckay_matrix_reads_one_residue_per_entry(self, monkeypatch):
+        # The cost law: r^2 signed residues, one per entry T[i][j].
+        G = build_group(BinaryDihedral(22))
+        character_table(G)
+        calls = 0
+        signed = FpImage.signed
+
+        def counted(self, a):
+            nonlocal calls
+            calls += 1
+            return signed(self, a)
+
+        monkeypatch.setattr(FpImage, "signed", counted)
+        _tensor_matrix(G)
+        assert G.num_classes == 25 and calls == 625
 
     def test_inner_product_is_symmetric_for_real_multiplicities(self):
         G = build_group(BinaryIcosahedral)

@@ -26,22 +26,24 @@ value ids, one field product per distinct pair of entries, which records
 every element as a word in the generators.  Products, inverses, conjugacy
 classes and cyclic subgroups are then worked out on element indices.
 
-Character tables are computed, never transcribed.  Cyclic tables come from
-the explicit weight characters; the non-abelian families run one
-tensor-peeling loop.  It walks the McKay graph from the trivial character,
-peeling fund * chi for each irreducible chi the walk finds.  Plain
-tensor-peeling stalls on clumped remainders (e.g. the three linear characters
-of the quaternion group arrive as one norm-3 remainder), so while the walk is
+Character tables are computed, never transcribed.  A cyclic table is the
+n powers of the weight character lambda = zeta^e1 (e1 the first eigenvalue
+exponent of a class), and validate() proves it in O(|G| + r^2) integer
+steps (`_cyclic_weights`).  The non-abelian families run one tensor-peeling
+loop.  It walks the McKay graph from the trivial character, peeling
+fund * chi for each irreducible chi the walk finds.  Plain tensor-peeling
+stalls on clumped remainders (e.g. the three linear characters of the
+quaternion group arrive as one norm-3 remainder), so while the walk is
 empty the loop draws characters induced from the cyclic subgroups generated
 by class representatives, class by class.  Seeds and products are built only
 when drawn, and a vector drawn twice is peeled once, so discovery peels about
 r vectors.  It ends once r irreducibles are registered; running out of seeds
 first raises ConsistencyError.  Discovery only searches, reading each
 multiplicity and norm in F_p (exact, as every vector it draws is a
-character).  validate() proves the table in the same F_p image.  Its values
-must be algebraic integers with chi(g^k) = sigma_k(chi(g)) (sigma_k: zeta ->
-zeta^k) for k in a generating set of (Z/m)^x.  The power maps permute the
-classes and keep their sizes, so each Gram entry
+character).  validate() proves such a table in the same F_p image.  Its
+values must be algebraic integers with chi(g^k) = sigma_k(chi(g)) (sigma_k:
+zeta -> zeta^k) for k in a generating set of (Z/m)^x.  The power maps
+permute the classes and keep their sizes, so each Gram entry
 a_ij = sum_c size_c conj(chi_i(c)) chi_j(c) is a Galois-fixed algebraic
 integer: an integer, at most |G| L^2 in absolute value for L the largest
 coefficient 1-norm of a value.  Once 2 |G| L^2 < p, a_ij = |G| delta_ij is
@@ -560,12 +562,15 @@ class CharacterTable:
         return tuple(chi.degree for chi in self.irreducibles)
 
     def validate(self) -> None:
-        """Hard-check the table by the exact certificate of the module doc."""
+        """Hard-check the table by the exact certificates of the module doc."""
         G = self.group
         r = G.num_classes
         if len(self.irreducibles) != r:
             raise ConsistencyError(f"{len(self.irreducibles)} irreducibles for {r} classes")
         self.degrees  # the identity column holds positive integers
+        if G.kind.family == "cyclic":
+            _cyclic_weights(self)
+            return
         ids = {}  # (num, den) -> (id, value) of each distinct value, in table order
         rows = [[ids.setdefault((v.num, v.den), (len(ids), v))[0] for v in chi.values]
                 for chi in self.irreducibles]
@@ -629,11 +634,37 @@ def _trivial_values(G: KleinGroup):
 
 
 def _cyclic_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
-    # Classes of the cyclic group are the generator powers in discovery order,
-    # so class k is generated by g^k and the weight-t character is zeta^(t*k).
-    n = G.order
-    zetas = [G.ctx.zeta(e) for e in range(n)]
-    return [tuple(zetas[t * k % n] for k in range(n)) for t in range(n)]
+    # Row t is lambda^t, lambda(c) = zeta^e1(c); validate() proves the rows.
+    zetas = [G.ctx.zeta(e) for e in range(G.m)]
+    return [tuple(zetas[t * e1 % G.m] for e1, _ in G.class_eigen) for t in range(G.order)]
+
+
+def _cyclic_weights(table: CharacterTable) -> list[int]:
+    """Prove a cyclic table; return s_j with chi_j(g) = zeta^(s_j), g the generator.
+
+    Walking x -> x g from 1 must add e(g) to both eigenvalue exponents at
+    each step, and the rows must be n distinct powers lambda^t, t < n, of
+    lambda = zeta^e1, built here apart from `_cyclic_table`.  So lambda(g)
+    has order n, the walk covers G, and the rows are G's n linear characters.
+    """
+    G = table.group
+    n, m, step, at_g = G.order, G.m, G.right[0], G.class_of[G.right[0][0]]
+    g1, g2 = G.class_eigen[at_g]
+    x = 0
+    for k in range(n + 1):
+        if G.class_eigen[G.class_of[x]] != (k * g1 % m, k * g2 % m):
+            raise ConsistencyError(f"x -> x g does not add e(g) to e(x) in {G.kind} at x = {x}")
+        x = step[x]
+    keys = [(z.num, z.den) for z in map(G.ctx.zeta, range(m))]  # zeta^e by (num, den)
+    t_of = {keys[t * g1 % m]: t for t in range(n)}  # lambda^t(g) -> t
+    rows = [[(v.num, v.den) for v in chi.values] for chi in table]
+    ts = [t_of.get(row[at_g]) for row in rows]
+    for j, (row, t) in enumerate(zip(rows, ts)):
+        if t is None or row != [keys[t * e1 % m] for e1, _ in G.class_eigen]:
+            raise ConsistencyError(f"chi_{j} is not a power of lambda = zeta^e1")
+    if len(set(ts)) != n:
+        raise ConsistencyError(f"the rows of {G.kind} are not {n} distinct powers of lambda")
+    return [t * g1 % m for t in ts]
 
 
 def _subgroup_hits(G: KleinGroup, c: int) -> list[list[int]]:
@@ -789,30 +820,12 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
 def cyclic_weight_indices(G: KleinGroup) -> dict[int, int]:
     """For a cyclic group, map each weight s to the table row of V_s.
 
-    V_s is the character taking the value zeta_n^s on the distinguished
-    generator diag(zeta_n, zeta_n^a); the map identifies weight-counting
-    decompositions with table-ordered multiplicity vectors.
+    V_s takes the value zeta_n^s on the generator diag(zeta_n, zeta_n^a):
+    it is the row of weight s, read off the proof of the table.
     """
     if G.kind.family != "cyclic":
         raise ValueError("weight indices only make sense for cyclic groups")
-    table = character_table(G)
-    n = G.kind.n
-    step = G.m // n  # zeta_n = zeta_m^step
-    gen_eigen = sorted((step % G.m, (step * G.kind.a) % G.m))
-    gen_class = None
-    for c in range(G.num_classes):
-        if sorted(G.class_eigen[c]) == gen_eigen:
-            gen_class = c
-            break
-    if gen_class is None:
-        raise ConsistencyError(f"generator class not found for {G.kind}")
-    weight_of = {G.ctx.zeta(step * s): s for s in range(n)}
-    row_of = {weight_of.get(chi.values[gen_class]): i for i, chi in enumerate(table)}
-    if None in row_of or len(row_of) != n:
-        raise ConsistencyError(
-            f"the table rows of {G.kind} do not take the weights 0..{n - 1} one to one"
-        )
-    return {s: row_of[s] for s in range(n)}
+    return dict(sorted((s, j) for j, s in enumerate(_cyclic_weights(character_table(G)))))
 
 
 def character_table(G: KleinGroup) -> CharacterTable:

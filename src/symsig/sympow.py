@@ -21,8 +21,8 @@ a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring with the
 determinant character.  The non-cyclic families lie in SL(2): there T's
 entries are inner products read in F_p and proven exactly, and P is the
 identity.  For cyclic groups every irreducible is linear and chi_V is the
-sum of the two eigenvalue characters, so T and P are read off exponent
-vectors in O(r^2) integer steps, with no field product (`_cyclic_twists`;
+sum of the two eigenvalue characters, so T and P are read off the row
+weights that prove the table, in O(r) lookups (`_cyclic_twists`;
 `_tensor_matrix` is its oracle in the tests).  By Molien's formula
 sum_q a_q t^q has poles only at m-th roots of unity (m the conductor), each
 of order at most 2, so the step a_(q+m) - a_q depends only on q mod m.  The
@@ -45,6 +45,7 @@ from .klein import (
     fundamental_character,
     inner_product,
     _conj_weights,
+    _cyclic_weights,
 )
 
 
@@ -275,45 +276,18 @@ def _det_permutation(G: KleinGroup) -> list[int]:
 
 
 def _cyclic_twists(G: KleinGroup) -> tuple[list[list[tuple[int, int]]], list[int]]:
-    """T's sparse columns and P for a cyclic group, read off eigen exponents.
+    """T's sparse columns and P for a cyclic group: O(r) lookups in its weights.
 
-    Every irreducible is linear, so row j is c -> zeta^(E_j[c]) for an
-    exponent vector E_j; chi_V is the sum of the eigen characters
-    c -> zeta^(e_k[c]), (e_1[c], e_2[c]) = G.class_eigen[c].  So
-    chi_V * chi_j = chi_sigma1(j) + chi_sigma2(j), sigma_k(j) being the row
-    with exponents E_j + e_k, and det * chi_j = chi_sigma2(sigma1(j)).
+    With chi_j(g) = zeta^(s_j) (`_cyclic_weights`) and (e1, e2) g's exponents,
+    chi_V * chi_j is the sum of the rows of weight s_j + e1 and s_j + e2, and
+    det * chi_j the row of weight s_j + e1 + e2.
     """
-    m = G.m
-    exponent = {}
-    for e in range(m):
-        z = G.ctx.zeta(e)
-        exponent[z.num, z.den] = e
-    rows = {}
-    for j, chi in enumerate(character_table(G)):
-        vec = []
-        for v in chi.values:
-            e = exponent.get((v.num, v.den))
-            if e is None:
-                raise ConsistencyError(
-                    f"value {v} of a cyclic character is not a root of unity"
-                )
-            vec.append(e)
-        rows[tuple(vec)] = j  # rows of a validated table differ, so this keeps j order
-    sigma = []
-    for shift in zip(*G.class_eigen):
-        twisted = []
-        for vec in rows:
-            i = rows.get(tuple((a + b) % m for a, b in zip(vec, shift)))
-            if i is None:
-                raise ConsistencyError(
-                    "eigenvalue twist of an irreducible is missing from the table"
-                )
-            twisted.append(i)
-        sigma.append(twisted)
-    columns = [
-        [(i1, 2)] if i1 == i2 else sorted([(i1, 1), (i2, 1)]) for i1, i2 in zip(*sigma)
-    ]
-    return columns, [sigma[1][i] for i in sigma[0]]
+    weights = _cyclic_weights(character_table(G))
+    row_of = {s: j for j, s in enumerate(weights)}
+    e1, e2 = G.class_eigen[G.class_of[G.right[0][0]]]
+    pairs = [(row_of[(s + e1) % G.m], row_of[(s + e2) % G.m]) for s in weights]
+    columns = [[(i, 2)] if i == k else sorted([(i, 1), (k, 1)]) for i, k in pairs]
+    return columns, [row_of[(s + e1 + e2) % G.m] for s in weights]
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Group construction, conjugacy classes, and character-table discovery."""
 
+import copy
 import itertools
 import math
 import random
@@ -513,7 +514,7 @@ class TestOperationCounts:
         assert calls == {"signed": 0, "__mul__": 0}
 
     def test_validate_images_each_value_once_and_takes_no_field_product(self, monkeypatch):
-        table = character_table(build_group.__wrapped__(Cyclic(60, 7)))
+        table = character_table(build_group.__wrapped__(BinaryDihedral(30)))
         imaged, products = [], 0
         call, mul = FpImage.__call__, CycloElement.__mul__
 
@@ -529,9 +530,24 @@ class TestOperationCounts:
         monkeypatch.setattr(FpImage, "__call__", counted_call)
         monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
         table.validate()
-        # the 60 distinct values, each mapped to F_p once for the whole Gram matrix
-        assert len(set(imaged)) == len(imaged) == 60
+        # the 31 distinct values, each mapped to F_p once for the whole Gram matrix
+        assert len(set(imaged)) == len(imaged) == 31
         assert products == 0
+
+    def test_cyclic_validate_reads_nothing_in_f_p_and_takes_no_field_product(self, monkeypatch):
+        # A cyclic table is proven by its weights, with nothing read mod p.
+        table = character_table(build_group.__wrapped__(Cyclic(60, 7)))
+        calls = {"__call__": 0, "signed": 0, "__mul__": 0}
+        for cls, name in ((FpImage, "__call__"), (FpImage, "signed"), (CycloElement, "__mul__")):
+            op = getattr(cls, name)
+
+            def counted(self, *args, op=op, name=name):
+                calls[name] += 1
+                return op(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        table.validate()
+        assert calls == {"__call__": 0, "signed": 0, "__mul__": 0}
 
     def test_a_dry_queue_stalls_discovery(self, monkeypatch):
         # With no seeds, Q8's walk finds V, then peels V * V to a norm-3 clump
@@ -699,25 +715,18 @@ class TestInnerProductChecks:
             with pytest.raises(ConsistencyError):
                 bad.validate()
 
-    # validate()'s messages: a halved value is not an algebraic integer, a
-    # value moved by zeta or by 3^38 breaks the Galois certificate, and a
-    # rational value times 3^38 is too large for the exact read mod p.
+    # validate()'s messages: a cyclic row changed anywhere is no power of
+    # the weight character.  Otherwise a halved value is not an algebraic
+    # integer, a value moved by zeta or by 3^38 breaks the Galois
+    # certificate, and a rational value times 3^38 is too large for the
+    # exact read mod p.
     PERTURBED = {
-        ("cyclic:60,7", "zeta"): [
-            "chi_0(g^7) is not sigma_7(chi_0(g)) for g in class 1",
-            "chi_59(g^7) is not sigma_7(chi_59(g)) for g in class 1",
-            "chi_1(g^7) is not sigma_7(chi_1(g)) for g in class 30",
-        ],
-        ("cyclic:60,7", "half"): [
-            "table value 1/2 is not an algebraic integer",
-            "table value 1/2 + 1/2*z^2 - 1/2*z^8 - 1/2*z^10 + 1/2*z^14 is not an algebraic integer",
-            "table value 1/2 is not an algebraic integer",
-        ],
-        ("cyclic:60,7", "wide"): [
-            "chi_0(g^7) is not sigma_7(chi_0(g)) for g in class 1",
-            "chi_59(g^7) is not sigma_7(chi_59(g)) for g in class 1",
-            "table values of coefficient 1-norm 1350851717672992089 are too large to read mod p",
-        ],
+        **{
+            ("cyclic:60,7", change): [
+                f"chi_{i} is not a power of lambda = zeta^e1" for i in (0, 59, 1)
+            ]
+            for change in ("zeta", "half", "wide")
+        },
         ("BI", "zeta"): [
             "chi_0(g^7) is not sigma_7(chi_0(g)) for g in class 1",
             "chi_8(g^7) is not sigma_7(chi_8(g)) for g in class 1",
@@ -768,7 +777,8 @@ class TestInnerProductChecks:
         r = G.num_classes
         rows = [chi.values for chi in table]
         want = [_plain_inner(G, rows[i], rows[j]) * G.order for i in range(r) for j in range(i, r)]
-        assert got == want
+        # a cyclic table is proven by its weights, with no Gram entry
+        assert got == ([] if kind.family == "cyclic" else want)
 
 
 def _plain_inner(G, phi, psi) -> Fraction:
@@ -780,8 +790,8 @@ def _plain_inner(G, phi, psi) -> Fraction:
 
 
 CERTIFIED_KINDS = (
-    Cyclic(7, 3), Cyclic(12, 5), Cyclic(60, 7), BinaryDihedral(2), BinaryDihedral(5),
-    BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral,
+    Cyclic(7, 3), Cyclic(8, 3), Cyclic(9, 2), Cyclic(12, 5), Cyclic(12, 11), Cyclic(60, 7),
+    BinaryDihedral(2), BinaryDihedral(5), BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral,
 )
 
 
@@ -795,7 +805,9 @@ def _swap_columns(rows, c, d):
 class TestTableCertificate:
     """validate() ties each column to its class: a swap of two classes of
     equal size keeps both orthogonality relations, and only the degree read
-    and the Galois certificate refuse it."""
+    and the Galois certificate refuse it, or, for a cyclic group, the proof
+    that each row is a power of the weight character, which refuses every
+    swap."""
 
     @staticmethod
     def _exempt(G, cols):
@@ -819,30 +831,86 @@ class TestTableCertificate:
                 with pytest.raises(ConsistencyError, match="^character degree .* is not a "
                                    "positive integer$"):
                     bad.validate()
-            elif kind == Cyclic(7, 3) or not self._exempt(G, (cols[c], cols[d])):
+            elif kind.family == "cyclic" or not self._exempt(G, (cols[c], cols[d])):
                 with pytest.raises(ConsistencyError):
                     bad.validate()
+
+    ROW_MESSAGES = {
+        "BT": ["<chi_1, chi_1> = 4, expected 1", "<chi_1, chi_2> = 1, expected 0"],
+        "cyclic:12,5": ["chi_1 is not a power of lambda = zeta^e1",
+                        "the rows of cyclic:12,5 are not 12 distinct powers of lambda"],
+    }
 
     @pytest.mark.parametrize("kind", [BinaryTetrahedral, Cyclic(12, 5)], ids=str)
     def test_the_row_relation_refuses_what_the_certificate_passes(self, kind):
         # Galois-stable integral rows: a doubled row, then a repeated row.
         G = build_group(kind)
         rows = [chi.values for chi in character_table(G)]
-        for bad, message in (
-            (rows[:1] + [tuple(2 * v for v in rows[1])] + rows[2:],
-             "<chi_1, chi_1> = 4, expected 1"),
-            (rows[:1] + [rows[2]] + rows[2:], "<chi_1, chi_2> = 1, expected 0"),
+        for bad, message in zip(
+            (rows[:1] + [tuple(2 * v for v in rows[1])] + rows[2:], rows[:1] + [rows[2]] + rows[2:]),
+            self.ROW_MESSAGES[str(kind)],
         ):
             with pytest.raises(ConsistencyError) as err:
                 CharacterTable(G, [Character(G, row) for row in bad]).validate()
             assert str(err.value) == message
 
     def test_a_cyclic_table_with_two_classes_swapped_is_refused(self, monkeypatch):
-        # Nothing but validate() proves that class k holds g^k.
+        # validate() proves the rows of _cyclic_table apart from it: a faulty
+        # builder is refused.
         cyclic_table = klein._cyclic_table
         monkeypatch.setattr(klein, "_cyclic_table", lambda G: _swap_columns(cyclic_table(G), 1, 2))
-        with pytest.raises(ConsistencyError, match=r"^chi_\d+\(g\^\d+\) is not sigma_"):
+        with pytest.raises(ConsistencyError, match=r"^chi_\d+ is not a power of lambda = zeta\^e1$"):
             character_table(build_group.__wrapped__(Cyclic(7, 3)))
+
+
+class TestCyclicWeights:
+    """The group half of the cyclic proof: the eigenvalue exponents must be
+    additive along the generator, and lambda(g) must have order n."""
+
+    @staticmethod
+    def _with_eigen(G, eigen):
+        H = copy.copy(G)
+        H.class_eigen = tuple(eigen)
+        return CharacterTable(H, [Character(H, chi.values) for chi in character_table(G)])
+
+    def test_a_shifted_exponent_is_refused(self):
+        G = build_group(Cyclic(12, 5))
+        eigen = list(G.class_eigen)
+        e1, e2 = eigen[7]
+        eigen[7] = ((e1 + 1) % 12, e2)
+        with pytest.raises(ConsistencyError, match=r"^x -> x g does not add e\(g\) to e\(x\) "
+                           r"in cyclic:12,5 at x = 7$"):
+            klein._cyclic_weights(self._with_eigen(G, eigen))
+
+    def test_swapped_exponents_are_refused_with_the_table_built_from_them(self):
+        # Rows built from the swapped data are powers of its lambda: only the
+        # walk along the generator ties the exponents to the group.
+        G = build_group(Cyclic(12, 5))
+        eigen = list(G.class_eigen)
+        eigen[2], eigen[3] = eigen[3], eigen[2]
+        H = copy.copy(G)
+        H.class_eigen = tuple(eigen)
+        table = CharacterTable(H, [Character(H, row) for row in klein._cyclic_table(H)])
+        with pytest.raises(ConsistencyError, match=r"^x -> x g does not add e\(g\) to e\(x\) "
+                           r"in cyclic:12,5 at x = 2$"):
+            klein._cyclic_weights(table)
+
+    def test_a_generator_exponent_that_is_not_a_unit_is_refused(self):
+        # Every e1 doubled: still additive along the generator, but lambda(g)
+        # = zeta^2 has order 6, so its powers take six values at g.
+        G = build_group(Cyclic(12, 5))
+        eigen = [(2 * e1 % 12, e2) for e1, e2 in G.class_eigen]
+        with pytest.raises(ConsistencyError, match=r"^chi_\d+ is not a power of lambda"):
+            klein._cyclic_weights(self._with_eigen(G, eigen))
+
+    @pytest.mark.parametrize("kind", [Cyclic(7, 3), Cyclic(12, 5), Cyclic(60, 7)], ids=str)
+    def test_weights_are_the_values_at_the_generator(self, kind):
+        G = build_group(kind)
+        table = character_table(G)
+        weights = klein._cyclic_weights(table)
+        assert sorted(weights) == list(range(G.order))
+        at_g = G.class_of[G.right[0][0]]
+        assert [chi.values[at_g] for chi in table] == [G.ctx.zeta(s) for s in weights]
 
 
 class TestWeightIndices:

@@ -3,7 +3,9 @@
 The five families — cyclic, binary dihedral, binary tetrahedral, binary
 octahedral, binary icosahedral — are constructed as explicit 2x2 matrix
 groups over one cyclotomic field per group (the field of the group exponent,
-so every eigenvalue of every element lives there).  Generator matrices are
+so every eigenvalue of every element lives there).  One function,
+`family_facts`, knows each family: it checks a kind's parameters and gives
+its order, conductor and largest element order.  Generator matrices are
 data, not trusted facts: enumeration re-derives the order, the determinants
 (1 in SL(2)), the eigenvalues (roots of unity in the field), the conductor
 (the lcm of the element orders), the largest element order (which tells the
@@ -106,39 +108,32 @@ BinaryOctahedral = GroupKind("BO")
 BinaryIcosahedral = GroupKind("BI")
 
 
-def validate_kind(kind: GroupKind) -> None:
+def family_facts(kind: GroupKind) -> tuple[int, int, int]:
+    """Check a kind's parameters; return its order, conductor and largest element order.
+
+    The conductor is the group exponent.  Among the finite subgroups of SL(2)
+    of one order, the largest element order tells the families apart: |G| for
+    cyclic, |G|/2 for BD:n, and at most 10 for BT, BO and BI.  build_group
+    re-derives all three from the enumerated group.
+    """
+    n, a = kind.n, kind.a
     if kind.family == "cyclic":
-        if kind.n is None or kind.a is None or kind.n < 2:
+        if n is None or a is None or n < 2:
             raise ValueError(f"cyclic needs n >= 2 and a weight, got {kind}")
-        if math.gcd(kind.a, kind.n) != 1:
+        if math.gcd(a, n) != 1:
             raise ValueError(
-                f"cyclic weight a={kind.a} must be coprime to n={kind.n} "
+                f"cyclic weight a={a} must be coprime to n={n} "
                 "(otherwise the representation is not faithful)"
             )
-    elif kind.family == "BD":
-        if kind.n is None or kind.n < 2:
-            raise ValueError(f"binary dihedral needs n >= 2, got {kind}")
-    elif kind.family not in ("BT", "BO", "BI"):
-        raise ValueError(f"unknown group family {kind.family!r}")
-
-
-def expected_order(kind: GroupKind) -> int:
-    return {
-        "cyclic": lambda: kind.n,
-        "BD": lambda: 4 * kind.n,
-        "BT": lambda: 24,
-        "BO": lambda: 48,
-        "BI": lambda: 120,
-    }[kind.family]()
-
-
-def kind_conductor(kind: GroupKind) -> int:
-    """Group exponent per family; re-validated against enumerated orders."""
-    if kind.family == "cyclic":
-        return kind.n
+        return n, n, n
     if kind.family == "BD":
-        return math.lcm(2 * kind.n, 4)
-    return {"BT": 12, "BO": 24, "BI": 60}[kind.family]
+        if n is None or n < 2:
+            raise ValueError(f"binary dihedral needs n >= 2, got {kind}")
+        return 4 * n, math.lcm(2 * n, 4), 2 * n
+    facts = {"BT": (24, 12, 6), "BO": (48, 24, 8), "BI": (120, 60, 10)}.get(kind.family)
+    if facts is None:
+        raise ValueError(f"unknown group family {kind.family!r}")
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +187,13 @@ def _generators(kind: GroupKind, ctx: CycloContext) -> list[Matrix2]:
     def rot():
         return Matrix2(zero, one, -one, zero)  # [[0,1],[-1,0]], order 4
 
+    def hurwitz(i):
+        half = ctx.rational(Fraction(1, 2))
+        return Matrix2(
+            (i - 1) * half, (i + 1) * half,
+            (i - 1) * half, (-1 - i) * half,
+        )  # the Hurwitz unit (-1+i+j+k)/2
+
     if kind.family == "cyclic":
         return [Matrix2(ctx.zeta(1), zero, zero, ctx.zeta(kind.a))]
 
@@ -201,38 +203,25 @@ def _generators(kind: GroupKind, ctx: CycloContext) -> list[Matrix2]:
 
     if kind.family == "BT":
         i = ctx.zeta(m // 4)
-        half = ctx.rational(Fraction(1, 2))
-        omega = Matrix2(
-            (i - 1) * half, (i + 1) * half,
-            (i - 1) * half, (-1 - i) * half,
-        )  # the Hurwitz unit (-1+i+j+k)/2
-        return [Matrix2(i, zero, zero, -i), rot(), omega]
+        return [Matrix2(i, zero, zero, -i), rot(), hurwitz(i)]
 
     if kind.family == "BO":
         e8 = ctx.zeta(m // 8)
-        i = e8 * e8
-        half = ctx.rational(Fraction(1, 2))
-        omega = Matrix2(
-            (i - 1) * half, (i + 1) * half,
-            (i - 1) * half, (-1 - i) * half,
-        )
-        return [Matrix2(e8, zero, zero, e8.inv()), rot(), omega]
+        return [Matrix2(e8, zero, zero, e8.inv()), rot(), hurwitz(e8 * e8)]
 
-    if kind.family == "BI":
-        z5 = ctx.zeta(m // 5)
-        # 2*z5^3 + 2*z5^2 + 1 is a square root of 5 (up to sign); dividing the
-        # symmetric generator by it lands back in SL(2).
-        root5 = 2 * z5 ** 3 + 2 * z5 ** 2 + 1
-        s = root5.inv()
-        p = (z5 ** 4 - z5) * s
-        r = (z5 ** 2 - z5 ** 3) * s
-        return [
-            Matrix2(z5 ** 3, zero, zero, z5 ** 2),
-            rot(),
-            Matrix2(p, r, r, -p),
-        ]
-
-    raise ValueError(f"unknown family {kind.family!r}")
+    # BI, the one family left once family_facts accepted the kind
+    z5 = ctx.zeta(m // 5)
+    # 2*z5^3 + 2*z5^2 + 1 is a square root of 5 (up to sign); dividing the
+    # symmetric generator by it lands back in SL(2).
+    root5 = 2 * z5 ** 3 + 2 * z5 ** 2 + 1
+    s = root5.inv()
+    p = (z5 ** 4 - z5) * s
+    r = (z5 ** 2 - z5 ** 3) * s
+    return [
+        Matrix2(z5 ** 3, zero, zero, z5 ** 2),
+        rot(),
+        Matrix2(p, r, r, -p),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +239,8 @@ class KleinGroup:
     """An enumerated matrix group with conjugacy data.
 
     Built only through :func:`build_group`.  All fields are set once during
-    construction and never mutated afterwards (the cached character table is
-    attached lazily but is itself immutable).
+    construction and never mutated afterwards; only ``_table``, the
+    immutable character table, is attached after construction.
 
     Elements are addressed by index.  ``parent[x]`` is (p, k) with
     elements[x] = elements[p] * generator k (None for the identity), and
@@ -276,7 +265,6 @@ class KleinGroup:
         self.class_of = class_of            # index -> class index
         self.class_eigen = class_eigen      # class index -> (e1, e2): eigenvalues zeta^e1, zeta^e2
         self.in_sl2 = in_sl2
-        self._fundamental = None
         self._table = None
 
     @property
@@ -293,9 +281,6 @@ class KleinGroup:
 
     def class_trace(self, c: int) -> CycloElement:
         return self.elements[self.classes[c].rep].trace()
-
-    def class_det(self, c: int) -> CycloElement:
-        return self.elements[self.classes[c].rep].det()
 
     def __repr__(self):
         return f"KleinGroup({self.kind}, order={self.order}, m={self.m})"
@@ -320,9 +305,8 @@ def build_group(kind: GroupKind) -> KleinGroup:
     ids, so each product or sum of two distinct entries is taken once.
     Inverses and conjugacy classes are then worked out on element indices.
     """
-    validate_kind(kind)
-    target = expected_order(kind)
-    ctx = get_context(kind_conductor(kind))
+    target, conductor, largest = family_facts(kind)
+    ctx = get_context(conductor)
     gens = _generators(kind, ctx)
 
     # Matrices are 4-tuples of value ids: equal values share an id, so the
@@ -404,10 +388,6 @@ def build_group(kind: GroupKind) -> KleinGroup:
             f"conductor mismatch for {kind}: field has m={m}, "
             f"element orders give lcm={math.lcm(*element_orders)}"
         )
-    # Among the finite subgroups of SL(2) of one order, the largest element
-    # order tells the families apart: |G| for cyclic, |G|/2 for BD:n, and at
-    # most 10 for BT, BO and BI.
-    largest = {"cyclic": target, "BD": target // 2, "BT": 6, "BO": 8, "BI": 10}[kind.family]
     if max(element_orders) != largest:
         raise ConsistencyError(
             f"the largest element order of {kind} is {max(element_orders)}, expected {largest}"
@@ -432,37 +412,32 @@ def build_group(kind: GroupKind) -> KleinGroup:
     # minimal unplaced element index.  The generators generate the group, so
     # an orbit under the maps x -> g^-1 * x * g, one per generator g, is a
     # whole class; g^-1 * x = (x^-1 * g)^-1 makes each map four lookups.
-    # Abelian groups skip the orbit search.
     classes: list[ConjugacyClass] = []
-    if kind.family == "cyclic":
-        class_of = list(range(target))
-        classes = [ConjugacyClass(rep=i, members=(i,), size=1) for i in range(target)]
-    else:
-        class_of = [-1] * target
-        conjugators = [
-            tuple(r[inverse[r[inverse[x]]]] for x in range(target)) for r in right
-        ]
-        for i in range(target):
-            if class_of[i] != -1:
-                continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                x = frontier.pop()
-                for conj in conjugators:
-                    y = conj[x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            members = tuple(sorted(orbit))
-            ci = len(classes)
-            for j in members:
-                if class_of[j] not in (-1, ci):
-                    raise ConsistencyError("conjugacy orbits are not a partition")
-                class_of[j] = ci
-            classes.append(ConjugacyClass(rep=i, members=members, size=len(members)))
-        if sum(c.size for c in classes) != target:
-            raise ConsistencyError("conjugacy classes do not partition the group")
+    class_of = [-1] * target
+    conjugators = [
+        tuple(r[inverse[r[inverse[x]]]] for x in range(target)) for r in right
+    ]
+    for i in range(target):
+        if class_of[i] != -1:
+            continue
+        orbit = {i}
+        frontier = [i]
+        while frontier:
+            x = frontier.pop()
+            for conj in conjugators:
+                y = conj[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        members = tuple(sorted(orbit))
+        ci = len(classes)
+        for j in members:
+            if class_of[j] not in (-1, ci):
+                raise ConsistencyError("conjugacy orbits are not a partition")
+            class_of[j] = ci
+        classes.append(ConjugacyClass(rep=i, members=members, size=len(members)))
+    if sum(c.size for c in classes) != target:
+        raise ConsistencyError("conjugacy classes do not partition the group")
     if classes[0].size != 1 or classes[0].rep != 0:
         raise ConsistencyError("identity class is not the leading singleton")
 
@@ -511,12 +486,7 @@ class Character:
 
 def fundamental_character(G: KleinGroup) -> Character:
     """Trace of the defining representation on each class (degree 2)."""
-    if G._fundamental is None:
-        chi = Character(G, tuple(G.class_trace(c) for c in range(G.num_classes)))
-        if chi.degree != 2:
-            raise ConsistencyError("fundamental character must have degree 2")
-        G._fundamental = chi
-    return G._fundamental
+    return Character(G, tuple(G.class_trace(c) for c in range(G.num_classes)))
 
 
 def _values_inner(G: KleinGroup, phi, psi) -> Fraction:

@@ -20,9 +20,10 @@ as sparse columns), the multiplicity vectors satisfy
 a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring with the
 determinant character.  The non-cyclic families lie in SL(2): there T's
 entries are inner products read in F_p and proven exactly, and P is the
-identity.  For cyclic groups every irreducible is linear and chi_V is the
-sum of the two eigenvalue characters, so T and P are read off the row
-weights that prove the table, in O(r) lookups (`_cyclic_twists`;
+identity because `build_group` proved det = 1 on every element, so it is
+not checked again here.  For cyclic groups every irreducible is linear and
+chi_V is the sum of the two eigenvalue characters, so T and P are read off
+the row weights that prove the table, in O(r) lookups (`_cyclic_twists`;
 `_tensor_matrix` is its oracle in the tests).  By Molien's formula
 sum_q a_q t^q has poles only at m-th roots of unity (m the conductor), each
 of order at most 2, so the step a_(q+m) - a_q depends only on q mod m.  The
@@ -267,14 +268,6 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
     return columns
 
 
-def _det_permutation(G: KleinGroup) -> list[int]:
-    """P for a non-cyclic group: every such family lies in SL(2), so det is
-    trivial and P is the identity; the determinants are checked."""
-    if any(G.class_det(c) != G.ctx.one for c in range(G.num_classes)):
-        raise ConsistencyError(f"determinant character of {G.kind} is not trivial")
-    return list(range(G.num_classes))
-
-
 def _cyclic_twists(G: KleinGroup) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """T's sparse columns and P for a cyclic group: O(r) lookups in its weights.
 
@@ -298,11 +291,11 @@ def _period_rows(G: KleinGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     every row is checked, and the steps from q = m on must repeat the first m.
     """
     degrees = character_table(G).degrees
+    r, m = len(degrees), G.m
     if G.kind.family == "cyclic":
         columns, perm = _cyclic_twists(G)
-    else:
-        columns, perm = _tensor_matrix(G), _det_permutation(G)
-    r, m = len(degrees), G.m
+    else:  # in SL(2), by build_group's determinant check: P is the identity
+        columns, perm = _tensor_matrix(G), range(r)
     rows = [(0,) * r, tuple(1 if i == 0 else 0 for i in range(r))]
     while len(rows) <= 3 * m:
         prev, cur = rows[-2], rows[-1]

@@ -24,6 +24,7 @@ from symsig.klein import (
     Character,
     CharacterTable,
     Cyclic,
+    GroupKind,
     Matrix2,
     build_group,
     character_table,
@@ -117,6 +118,15 @@ class TestConstruction:
             (BinaryTetrahedral, lambda gens, ctx: [gens[0], Matrix2(*(2 * v for v in (
                 gens[1].a, gens[1].b, gens[1].c, gens[1].d))), gens[2]],
              "generator of BT has determinant != 1"),
+            (BinaryDihedral(3), lambda gens, ctx: [Matrix2(*(2 * v for v in (
+                gens[0].a, gens[0].b, gens[0].c, gens[0].d))), gens[1]],
+             "generator of BD:3 has determinant != 1"),
+            (BinaryOctahedral, lambda gens, ctx: gens[:2] + [Matrix2(*(2 * v for v in (
+                gens[2].a, gens[2].b, gens[2].c, gens[2].d)))],
+             "generator of BO has determinant != 1"),
+            (BinaryIcosahedral, lambda gens, ctx: gens[:2] + [Matrix2(*(2 * v for v in (
+                gens[2].a, gens[2].b, gens[2].c, gens[2].d)))],
+             "generator of BI has determinant != 1"),
             (BinaryTetrahedral, lambda gens, ctx: gens[:2] + [Matrix2(
                 ctx.one, ctx.one, ctx.zero, ctx.one)],
              "closure of BT exceeded 48 elements; corrupted generators"),
@@ -150,6 +160,8 @@ class TestConstruction:
             build_group(Cyclic(1, 1))
         with pytest.raises(ValueError):
             build_group(BinaryDihedral(1))
+        with pytest.raises(ValueError, match="^unknown group family 'XX'$"):
+            build_group(GroupKind("XX"))
 
     def test_kind_strings(self):
         assert str(Cyclic(5, 2)) == "cyclic:5,2"
@@ -160,10 +172,11 @@ class TestConstruction:
 
 class TestConjugacyClasses:
     def test_cyclic_groups_have_singleton_classes(self):
-        for n, a in ((2, 1), (5, 2), (8, 7)):
+        for n, a in ((2, 1), (5, 2), (8, 7), (240, 1)):
             G = build_group(Cyclic(n, a))
             assert G.num_classes == n
             assert all(cls.size == 1 for cls in G.classes)
+            assert [cls.rep for cls in G.classes] == list(range(n))
 
     @pytest.mark.parametrize(
         "kind,classes",

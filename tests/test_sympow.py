@@ -22,7 +22,6 @@ from symsig.klein import (
 )
 from symsig.sympow import (
     _cyclic_twists,
-    _det_permutation,
     _tensor_matrix,
     decompose,
     decompose_inner,
@@ -302,7 +301,7 @@ class TestMcKayGraph:
 def _field_det_permutation(G):
     """Oracle for P: perm[j] is the row equal to det * chi_j, by field products."""
     table = character_table(G)
-    dets = [G.class_det(c) for c in range(G.num_classes)]
+    dets = [G.elements[cls.rep].det() for cls in G.classes]
     by_values = {chi.values: i for i, chi in enumerate(table)}
     return [by_values[tuple(d * v for d, v in zip(dets, chi.values))] for chi in table]
 
@@ -331,11 +330,6 @@ class TestCyclicTwists:
             # _cyclic_twists reads the weights off the proof of the table
             with pytest.raises(ConsistencyError, match=rf"^chi_{i} is not a power of lambda"):
                 _cyclic_twists(G)
-
-    def test_det_permutation_is_for_sl2_groups(self):
-        assert _det_permutation(build_group(BinaryTetrahedral)) == list(range(7))
-        with pytest.raises(ConsistencyError, match="not trivial"):
-            _det_permutation(build_group(Cyclic(7, 3)))
 
 
 class TestLimitCertificate:

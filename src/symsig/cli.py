@@ -41,7 +41,7 @@ from .klein import (
     build_group,
     character_table,
 )
-from .sympow import decompose
+from .sympow import _period_rows
 from .signature import oscillation_gap, signature_partial
 from .elliptic import (
     SYZYGY_BUNDLE,
@@ -203,17 +203,18 @@ def cmd_decompose(args) -> Report:
         ("irreducible_degrees", " ".join(str(d) for d in degrees)),
     ]
     cols = ["q"] + [f"alpha{i}" for i in range(len(table))] + ["dimension"]
+    base, steps = _period_rows(G)
+    dims = [sum(a * d for a, d in zip(row, degrees)) for row in base + steps]
 
     def rows(first: int, last: int):
         for q in range(first, last + 1):
-            row = decompose(G, q).multiplicities
-            dim = sum(a * d for a, d in zip(row, degrees))
-            yield [str(q)] + [str(a) for a in row] + [str(dim)]
+            k, s = divmod(q, G.m)  # row q = s + k m is base_s + k step_s, and so is its dimension
+            row = [str(a + k * b) for a, b in zip(base[s], steps[s])]
+            yield [str(q), *row, str(dims[s] + k * dims[G.m + s])]
 
     # The last min(m, HI - LO + 1) rows, held in O(m r), reach every width:
     # _period_rows checks each step alpha_(q+m) - alpha_q >= 0, so every alpha
-    # column is non-decreasing along each residue class mod m, and q and q + 1
-    # grow.  They also build the period table before the first byte is written.
+    # column is non-decreasing along each residue class mod m; q and q + 1 grow.
     mid = max(lo, hi - G.m + 1)
     tail = list(rows(mid, hi))
     rep.sections.append(Section("multiplicities", cols, chain(rows(lo, mid - 1), tail), tail))

@@ -267,11 +267,10 @@ def fp_image(ctx: CycloContext) -> FpImage:
 
 class ValueIds:
     """Field values numbered by (num, den), so equal values share an id: 0 is
-    zero and 1 is one.  Each sum or product of two ids, and each count
-    vector's value, is built once."""
+    zero and 1 is one.  Each sum or product of two ids is built once."""
 
     def __init__(self, ctx: CycloContext):
-        self.ctx, self.values, self._ids, self._memo = ctx, [], {}, {}
+        self.values, self._ids, self._memo = [], {}, {}
         self.id(ctx.zero), self.id(ctx.one)
 
     def id(self, v: "CycloElement") -> int:
@@ -291,15 +290,6 @@ class ValueIds:
         r = self._memo.get(key)
         if r is None:
             r = self._memo[key] = self.id(op(self.values[i], self.values[j]))
-        return r
-
-    def from_counts(self, counts, den: int) -> int:
-        """The id of ``ctx.from_counts(counts, den)``, keyed on its lowest terms."""
-        g = math.gcd(den, *counts)
-        key = (den // g, tuple(n // g for n in counts))
-        r = self._memo.get(key)
-        if r is None:
-            r = self._memo[key] = self.id(self.ctx.from_counts(key[1], key[0]))
         return r
 
 

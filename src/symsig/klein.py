@@ -28,31 +28,31 @@ value ids, one field product per distinct pair of entries, which records
 every element as a word in the generators.  Products, inverses, conjugacy
 classes and cyclic subgroups are then worked out on element indices.
 
-Character tables are computed, never transcribed.  A cyclic table is the
-n powers of the weight character lambda = zeta^e1 (e1 the first eigenvalue
-exponent of a class), and validate() proves it in O(|G| + r^2) integer
-steps (`_cyclic_weights`).  The non-abelian families run one tensor-peeling
-loop.  It walks the McKay graph from the trivial character, peeling
-fund * chi for each irreducible chi the walk finds.  Plain tensor-peeling
-stalls on clumped remainders (e.g. the three linear characters of the
-quaternion group arrive as one norm-3 remainder), so while the walk is
-empty the loop draws characters induced from the cyclic subgroups generated
-by class representatives, class by class.  Seeds and products are built only
-when drawn, and a vector drawn twice is peeled once, so discovery peels about
-r vectors.  It ends once r irreducibles are registered; running out of seeds
-first raises ConsistencyError.  Discovery only searches, reading each
-multiplicity and norm in F_p (exact, as every vector it draws is a
-character).  validate() proves such a table in the same F_p image.  Its
-values must be algebraic integers with chi(g^k) = sigma_k(chi(g)) (sigma_k:
-zeta -> zeta^k) for k in a generating set of (Z/m)^x.  The power maps
-permute the classes and keep their sizes, so each Gram entry
-a_ij = sum_c size_c conj(chi_i(c)) chi_j(c) is a Galois-fixed algebraic
-integer: an integer, at most |G| L^2 in absolute value for L the largest
-coefficient 1-norm of a value.  Once 2 |G| L^2 < p, a_ij = |G| delta_ij is
-read exactly off signed residues, conj(chi(c)) read as chi at the inverse
-class.  For the square table X, X D X^H = |G| I (D the class sizes) gives
-X^H X = |G| D^-1: column orthogonality, the squared-degree sum and distinct
-columns follow.
+Character tables are computed, never transcribed.  A cyclic table is the n
+powers of the weight character lambda = zeta^e1 (e1 the first eigenvalue
+exponent of a class), and validate() proves it in O(|G| + r^2) integer steps
+(`_cyclic_weights`).  The non-abelian families run one tensor-peeling loop.
+It walks the McKay graph from the trivial character, peeling fund * chi for
+each irreducible chi the walk finds.  Plain tensor-peeling stalls on clumped
+remainders (e.g. the three linear characters of the quaternion group arrive
+as one norm-3 remainder), so while the walk is empty the loop draws
+characters induced from the cyclic subgroups generated by class
+representatives, class by class.  Discovery only searches, on images in F_p:
+each norm and multiplicity is read off a signed residue (exact, as every
+vector it draws is a character), a vector drawn twice is read once, one of
+norm 1 is kept whole and a clump is peeled.  Only the r rows kept are built
+as exact values.  It ends once r irreducibles are registered; running out of
+seeds first raises ConsistencyError.  validate() proves such a table in the
+same F_p image.  Its values must be algebraic integers with
+chi(g^k) = sigma_k(chi(g)) (sigma_k: zeta -> zeta^k) for k in a generating
+set of (Z/m)^x.  The power maps permute the classes and keep their sizes, so
+each Gram entry a_ij = sum_c size_c conj(chi_i(c)) chi_j(c) is a
+Galois-fixed algebraic integer: an integer, at most |G| L^2 in absolute
+value for L the largest coefficient 1-norm of a value.  Once 2 |G| L^2 < p,
+a_ij = |G| delta_ij is read exactly off signed residues, conj(chi(c)) read
+as chi at the inverse class.  For the square table X, X D X^H = |G| I (D the
+class sizes) gives X^H X = |G| D^-1: column orthogonality, the
+squared-degree sum and distinct columns follow.
 """
 
 from __future__ import annotations
@@ -565,9 +565,8 @@ class CharacterTable:
             )
         images = [image(v) for v in values]
         images = [[images[x] for x in row] for row in rows]
-        inverse = [G.class_of[G.inverse[cls.rep]] for cls in G.classes]
         for i in range(r):
-            weights = [cls.size * images[i][c] for cls, c in zip(G.classes, inverse)]
+            weights = _conj_weights(G, image.p, images[i])
             for j in range(i, r):
                 got = image.signed(sum(map(mul, weights, images[j])))
                 want = 1 if i == j else 0
@@ -684,76 +683,87 @@ def _induced_from_cyclic(G: KleinGroup, c: int):
         yield keys
 
 
-def _peel(image: FpImage, vec, found):
-    """Subtract from vec each found irreducible, times its multiplicity in vec.
+def _conj_weights(G: KleinGroup, p: int, images, scale: int = 1) -> list[int]:
+    """scale * size_c * conj(chi(c)) mod p over the classes c, for chi given by its
+    images mod p; conj(chi(g)) is read as chi(g^-1), as for every character."""
+    return [cls.size * scale * images[G.class_of[G.inverse[cls.rep]]] % p for cls in G.classes]
 
-    found holds (values, weights) pairs of orthonormal irreducibles chi, with
-    weights[c] the image of size_c * conj(chi[c]) / |G|, so the multiplicity
-    <vec, chi> = <chi, vec> is the signed residue of a sum of images.  That
-    is exact while vec is a character: the multiplicity is then an integer in
-    [0, deg vec], far below p/2.  The subtraction runs on integer numerators
-    over a common denominator per class.  Returns the remainder.
+
+def _peel(image: FpImage, vec, found) -> list[tuple[int, tuple]]:
+    """The multiplicities of the found irreducibles in vec, an image vector mod p.
+
+    found holds (values, images, weights) of orthonormal irreducibles chi, with
+    weights the images of size_c * conj(chi(c)) / |G|, so the multiplicity
+    <vec, chi> = <chi, vec> is the signed residue of a sum of images.  That is
+    exact while vec is the image of a character: the multiplicity is then an
+    integer in [0, d], d the degree, read as the signed residue at the
+    identity.  Returns the (k, found entry) with k != 0.
     """
-    images = [image(v) for v in vec]
-    deg = vec[0].to_rational()
+    deg = image.signed(vec[0])
     terms = []
-    for chi, weights in found:
-        k = image.signed(sum(map(mul, weights, images)))
-        if deg is None or not -deg <= k <= deg:
+    for entry in found:
+        k = image.signed(sum(map(mul, entry[2], vec)))
+        if not -deg <= k <= deg:
             raise ConsistencyError(
                 f"multiplicity residue {k} mod p lies outside [-d, d] for the degree "
-                f"d = {vec[0]} of a vector being peeled: it is not a character"
+                f"d = {deg} of a vector being peeled: it is not a character"
             )
         if k < 0:
             raise ConsistencyError(
                 f"negative multiplicity {k} while peeling a genuine character"
             )
         if k:
-            terms.append((k, chi))
+            terms.append((k, entry))
+    return terms
+
+
+def _subtract(vec, terms):
+    """vec minus k * chi for each (k, (chi, ...)) of `_peel`'s terms, on integer
+    numerators over a common denominator per class."""
     if not terms:
         return vec
     out = []
     for c, x in enumerate(vec):
-        den = math.lcm(x.den, *(chi[c].den for _, chi in terms))
+        den = math.lcm(x.den, *(chi[c].den for _, (chi, _, _) in terms))
         num = [a * (den // x.den) for a in x.num]
-        for k, chi in terms:
+        for k, (chi, _, _) in terms:
             scale = k * (den // chi[c].den)
             num = [a - scale * b for a, b in zip(num, chi[c].num)]
         out.append(CycloElement._make(x.ctx, num, den))
     return tuple(out)
 
 
-def _conj_weights(G: KleinGroup, image: FpImage, vec) -> list[int]:
-    """The images of size_c * conj(vec[c]) / |G|, conj(chi(g)) read as chi(g^-1)."""
-    scale = pow(G.order, -1, image.p)
-    return [cls.size * scale * image(vec[G.class_of[G.inverse[cls.rep]]]) % image.p
-            for cls in G.classes]
-
-
 def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
     """Tensor-peeling along the McKay graph, with induced-character seeds, in F_p.
 
-    The walk is a deque of found irreducibles, from the trivial character
-    on; a drawn factor chi yields fund * chi, multiplied only then, and each
-    irreducible registered from a walk vector joins it, so it steps along
-    the McKay graph.  While it is empty, the next seed is drawn, each
-    distinct seed value built once.  The loop ends: there are at most r + 1
-    walk draws and sum_c order(rep_c) seeds.
+    Every vector drawn is a character, searched as its image mod p.  The walk
+    is a deque of found irreducibles, from the trivial character on; a drawn
+    factor chi yields the image of fund * chi, and each irreducible registered
+    from a walk vector joins it, so it steps along the McKay graph.  While it
+    is empty, the next seed is drawn, its image read off its keys.  A vector
+    of norm 1 is an irreducible, new as it differs from every image seen;
+    otherwise it is peeled, and its remainder, of norm <v, v> - sum k_i^2, is
+    an irreducible when that is 1.  Only a row kept is built exactly: fund *
+    chi or the seed's values, minus the peeled rows.  The loop ends: there are
+    at most r + 1 walk draws and sum_c order(rep_c) seeds.
     """
     r = G.num_classes
     fund = fundamental_character(G).values
     image = fp_image(G.ctx)
-    trivial = _trivial_values(G)
-    found = [(trivial, _conj_weights(G, image, trivial))]
-    walk = deque([trivial])
+    p, scale = image.p, pow(G.order, -1, image.p)
+    fund_images = [image(v) for v in fund]
+    zetas = [pow(image.omega, e, p) for e in range(G.m)]  # the images of zeta^e
+    ones = [1] * r
+    found = [(_trivial_values(G), ones, _conj_weights(G, p, ones, scale))]
+    walk = deque(found)
     seeds = (keys for c in range(r) for keys in _induced_from_cyclic(G, c))
-    ids = ValueIds(G.ctx)
-    seed_ids = {None: 0}  # seed value key -> value id
-    peeled = set()  # the (num, den) tuples of every vector peeled
+    seed_images, seed_values = {None: 0}, {None: G.ctx.zero}
+    seen = {tuple(ones)}  # the image of every vector peeled or found
     while len(found) < r:
         walked = bool(walk)
         if walked:
-            vec = tuple(x * y for x, y in zip(walk.popleft(), fund))
+            factor = walk.popleft()
+            vec = [x * y % p for x, y in zip(factor[1], fund_images)]
         else:
             keys = next(seeds, None)
             if keys is None:
@@ -761,30 +771,37 @@ def _discover_table(G: KleinGroup) -> list[tuple[CycloElement, ...]]:
                     f"character discovery stalled for {G.kind}: "
                     f"{len(found)} of {r} irreducibles found"
                 )
-            for k in set(keys) - seed_ids.keys():
+            for k in set(keys) - seed_images.keys():
+                count, d, exponents = k
+                seed_images[k] = count * sum(zetas[e] for e in exponents) * pow(d, -1, p) % p
+            vec = [seed_images[k] for k in keys]
+        if tuple(vec) in seen:
+            continue
+        seen.add(tuple(vec))
+        weights = _conj_weights(G, p, vec, scale)
+        norm = image.signed(sum(map(mul, weights, vec)))
+        terms = [] if norm == 1 else _peel(image, vec, found)
+        if norm - sum(k * k for k, _ in terms) != 1:
+            continue  # zero, or not an irreducible
+        if terms:
+            for k, (_, images, _) in terms:
+                vec = [(x - k * y) % p for x, y in zip(vec, images)]
+            weights = _conj_weights(G, p, vec, scale)
+            seen.add(tuple(vec))
+        if walked:
+            values = tuple(x * y for x, y in zip(factor[0], fund))
+        else:
+            for k in set(keys) - seed_values.keys():
                 count, d, exponents = k
                 counts = [0] * G.m
                 for e in exponents:
                     counts[e] += count
-                seed_ids[k] = ids.from_counts(counts, d)
-            vec = tuple(ids.values[seed_ids[k]] for k in keys)
-        key = tuple((v.num, v.den) for v in vec)
-        if key in peeled:
-            continue
-        peeled.add(key)
-        vec = _peel(image, vec, found)
-        if all(v.is_zero for v in vec):
-            continue
-        conj_vec = _conj_weights(G, image, vec)
-        if image.signed(sum(map(mul, conj_vec, map(image, vec)))) != 1:
-            continue  # not an irreducible
-        deg = vec[0].to_rational()
-        if deg is None or deg.denominator != 1 or deg <= 0:
-            raise ConsistencyError(f"norm-1 remainder with bad degree {deg!r}")
-        found.append((vec, conj_vec))
+                seed_values[k] = G.ctx.from_counts(counts, d)
+            values = tuple(seed_values[k] for k in keys)
+        found.append((_subtract(values, terms), vec, weights))
         if walked:
-            walk.append(vec)
-    return [vec for vec, _ in found]
+            walk.append(found[-1])
+    return [values for values, _, _ in found]
 
 
 def cyclic_weight_indices(G: KleinGroup) -> dict[int, int]:

@@ -19,17 +19,18 @@ T[i][j] the multiplicity of chi_i in chi_V * chi_j (computed once and stored
 as sparse columns), the multiplicity vectors satisfy
 a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring with the
 determinant character.  The non-cyclic families lie in SL(2): there T's
-entries are inner products read in F_p and proven exactly, and P is the
-identity because `build_group` proved det = 1 on every element, so it is
-not checked again here.  For cyclic groups every irreducible is linear and
-chi_V is the sum of the two eigenvalue characters, so T and P are read off
-the row weights that prove the table, in O(r) lookups (`_cyclic_twists`;
-`_tensor_matrix` is its oracle in the tests).  By Molien's formula
-sum_q a_q t^q has poles only at m-th roots of unity (m the conductor), each
-of order at most 2, so the step a_(q+m) - a_q depends only on q mod m.  The
-recurrence therefore runs once per group, for q < 3m, and row q = s + k*m is
-a_s + k * (a_(s+m) - a_s) for every q.  The literal inner-product evaluation
-is kept as `decompose_inner` and serves as the oracle for the fast route.
+entries are inner products read exactly in F_p against the proven table,
+with no field product, and P is the identity because `build_group` proved
+det = 1 on every element, so it is not checked again here.  For cyclic
+groups every irreducible is linear and chi_V is the sum of the two
+eigenvalue characters, so T and P are read off the row weights that prove
+the table, in O(r) lookups (`_cyclic_twists`; `_tensor_matrix` is its oracle
+in the tests).  By Molien's formula sum_q a_q t^q has poles only at m-th
+roots of unity (m the conductor), each of order at most 2, so the step
+a_(q+m) - a_q depends only on q mod m.  The recurrence therefore runs once
+per group, for q < 3m, and row q = s + k*m is a_s + k * (a_(s+m) - a_s) for
+every q.  The literal inner-product evaluation is kept as `decompose_inner`
+and serves as the oracle for the fast route.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .cyclotomic import ConsistencyError, CycloElement, ValueIds, fp_image
+from .cyclotomic import ConsistencyError, CycloElement, fp_image
 from .klein import (
     Character,
     KleinGroup,
@@ -220,50 +221,41 @@ def decompose_inner(G: KleinGroup, q: int) -> Decomposition:
 def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
     """Sparse columns of T: column j lists (i, T[i][j]) for each T[i][j] != 0.
 
-    T[i][j], the multiplicity of chi_i in chi_V * chi_j, is read as the signed
-    residue of <chi_i, chi_V * chi_j> in F_p and then proven: the degrees add
-    up, sum_i T[i][j] d_i = 2 d_j, and chi_V(c) chi_j(c) = sum_i T[i][j] chi_i(c)
-    holds exactly at every class c, which fixes T as the rows of a validated
-    table are independent.  Each product of a value of chi_V and a table value
-    is taken once, and so is each sum of two values.
+    T[i][j] = N_ij / |G|, N_ij = sum_c size_c conj(chi_i(c)) chi_V(c) chi_j(c).
+    validate() proved the rows orthonormal, with algebraic-integer values and
+    chi(g^k) = sigma_k(chi(g)) (a cyclic table as powers of lambda), and chi_V,
+    the trace of G's own matrices, has both too.  The power maps keep class
+    sizes, so N_ij is a Galois-fixed algebraic integer: an integer, at most
+    |G| L^2 L_V in absolute value for L and L_V the largest coefficient 1-norms
+    of the table values and of chi_V.  Once 2 |G| L^2 L_V < p it is read
+    exactly off a signed residue, and chi_V chi_j = sum_i T[i][j] chi_i is the
+    expansion in the proven basis (Isaacs, Character Theory of Finite Groups,
+    ch. 2).  No field product is taken.
     """
     table = character_table(G)
-    ids = ValueIds(G.ctx)
-    fund = [ids.id(v) for v in fundamental_character(G).values]
-    rows = [[ids.id(v) for v in chi.values] for chi in table]
-    prods = [[ids.mul(f, v) for f, v in zip(fund, row)] for row in rows]
     image = fp_image(G.ctx)
-    images = [image(v) for v in ids.values]
-    weights = [_conj_weights(G, image, chi.values) for chi in table]
+    p = image.p
+    fund = fundamental_character(G).values
+    L = max(sum(map(abs, num)) for num in {v.num for chi in table for v in chi.values})
+    bound = G.order * L ** 2 * max(sum(map(abs, v.num)) for v in fund)  # |N_ij| <= bound
+    if 2 * bound >= p:
+        raise ConsistencyError(f"tensor products bounded by {bound} are too large to read mod p")
+    rows = [[image(v) for v in chi.values] for chi in table]
+    weights = [_conj_weights(G, p, row) for row in rows]
+    fund = [image(v) for v in fund]
     columns = []
-    for j, prod in enumerate(prods):
+    for j, row in enumerate(rows):
+        prod = [x * y % p for x, y in zip(row, fund)]
         column = []
-        xs = [images[x] for x in prod]
         for i, w in enumerate(weights):
-            a = image.signed(sum(map(mul, w, xs)))
-            if a < 0:
-                # A true T[i][j] lies in [0, 2 d_j], as sum_i T[i][j] d_i = 2 d_j;
-                # a negated row j reads -T[i][j].  A residue past 2 |chi_j(1)| is
-                # neither, so it is no multiplicity and is not printed.
-                d = table[j].values[0].to_rational()  # unchecked: row j may be wrong
-                if d is not None and -a <= 2 * abs(d):
-                    raise ConsistencyError(f"tensor multiplicity {a} is not a non-negative integer")
-                raise ConsistencyError(
-                    f"<chi_{i}, chi_V * chi_{j}> is not an integer in [0, 2 d_{j}]"
-                )
-            if a:
-                column.append((i, a))
-        if sum(a * table[i].degree for i, a in column) != 2 * table[j].degree:
-            raise ConsistencyError(f"tensor multiplicities of chi_V * chi_{j} miss its degree")
-        for c, x in enumerate(prod):
-            acc = 0
-            for i, a in column:  # a <= 2 d_j, by the degree check
-                for _ in range(a):
-                    acc = ids.add(acc, rows[i][c])
-            if acc != x:
-                raise ConsistencyError(
-                    f"chi_V * chi_{j} differs from its tensor multiplicities at class {c}"
-                )
+            n = image.signed(sum(map(mul, w, prod)))
+            t, rem = divmod(n, G.order)
+            if rem or abs(n) > bound:  # not an exact read
+                raise ConsistencyError(f"<chi_{i}, chi_V * chi_{j}> is not an integer")
+            if t < 0:
+                raise ConsistencyError(f"tensor multiplicity {t} is not a non-negative integer")
+            if t:
+                column.append((i, t))
         columns.append(column)
     return columns
 

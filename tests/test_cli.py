@@ -120,10 +120,10 @@ class TestExitCodes:
         assert code == 1 and not out and "internal consistency failure" in err
 
     def test_refused_decompose_writes_nothing(self, monkeypatch, tmp_path):
-        def boom(G, q):
+        def boom(G):
             raise ConsistencyError("forced failure")
 
-        monkeypatch.setattr(cli, "decompose", boom)
+        monkeypatch.setattr(cli, "_period_rows", boom)
         path = tmp_path / "report.txt"
         for extra in ((), ("--output", str(path))):
             code, out, err = run("decompose", "BT", "0..5", *extra)

@@ -334,41 +334,117 @@ class TestOperationCounts:
             # 3,398 when the closure took every Matrix2 product
             assert sum(calls.values()) <= 250
 
-    def test_discovery_builds_each_distinct_induced_value_once(self, monkeypatch):
-        G = build_group.__wrapped__(BinaryDihedral(30))
+    @staticmethod
+    def _discovery_draws(kind, monkeypatch) -> tuple[list[dict], int]:
+        """One cold discovery of kind, split into its draws, in order.
+
+        Each draw records its source ("walk", or "seed" with its keys), the
+        number of irreducibles found when it was peeled (None if it was not),
+        whether it was kept (every kept row passes `_subtract`), and the field
+        products, `from_counts` calls and signed residues taken while it ran.
+        Also returns the signed residues taken before the first draw.
+        """
+        G = build_group.__wrapped__(kind)
         fundamental_character(G)
-        drawn = [0] * G.num_classes  # seeds drawn per class, t = 0, 1, ... in order
-        calls = 0
-        induce, from_counts = klein._induced_from_cyclic, CycloContext.from_counts
+        draws = []
+        setup = {"signed": 0}
+
+        def current():
+            return draws[-1] if draws else setup
+
+        def draw(source, keys=None):
+            draws.append({"source": source, "keys": keys, "found": None, "kept": False,
+                          "products": 0, "values": 0, "signed": 0})
+
+        induce, peel, subtract = klein._induced_from_cyclic, klein._peel, klein._subtract
 
         def counted_seeds(G, c):
-            for vec in induce(G, c):
-                drawn[c] += 1
-                yield vec
+            for keys in induce(G, c):
+                draw("seed", keys)
+                yield keys
 
-        def counted(self, *args):
-            nonlocal calls
-            calls += 1
-            return from_counts(self, *args)
+        def recorded_peel(image, vec, found):
+            draws[-1]["found"] = len(found)
+            return peel(image, vec, found)
 
+        def recorded_subtract(vec, terms):
+            assert not draws[-1]["kept"]
+            draws[-1]["kept"] = True
+            return subtract(vec, terms)
+
+        class CountedWalk(deque):
+            def popleft(self):
+                draw("walk")
+                return super().popleft()
+
+        for cls, name, key in ((CycloElement, "__mul__", "products"),
+                               (CycloContext, "from_counts", "values"),
+                               (FpImage, "signed", "signed")):
+            op = getattr(cls, name)
+
+            def counted(self, *args, op=op, key=key):
+                current()[key] = current().get(key, 0) + 1
+                return op(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
         monkeypatch.setattr(klein, "_induced_from_cyclic", counted_seeds)
-        monkeypatch.setattr(CycloContext, "from_counts", counted)
-        klein._discover_table(G)
+        monkeypatch.setattr(klein, "_peel", recorded_peel)
+        monkeypatch.setattr(klein, "_subtract", recorded_subtract)
+        monkeypatch.setattr(klein, "deque", CountedWalk)
+        rows = klein._discover_table(G)
         monkeypatch.undo()
-        values = set()
-        for c, n in enumerate(drawn):
-            # Oracle: value (1/d) sum_s hits[c'][s] zeta^(t s m / d) on class c'
-            hits = _subgroup_hits(G, c)
-            d = len(hits[0])
-            for t in range(n):
-                for row in hits:
-                    counts = [0] * G.m
-                    for s, cnt in enumerate(row):
-                        counts[t * s * (G.m // d) % G.m] += cnt
-                    v = G.ctx.from_counts(counts, d)
-                    values.add((v.num, v.den))
-        # 1,870 calls when every reached class of every drawn seed took one
-        assert 0 < calls <= len(values)
+        assert len(rows) == G.num_classes == 1 + sum(d["kept"] for d in draws)
+        return draws, setup["signed"]
+
+    @pytest.mark.parametrize("kind", [BinaryDihedral(30), BinaryIcosahedral], ids=str)
+    def test_discovery_builds_only_the_seed_values_it_keeps(self, kind, monkeypatch):
+        draws, _ = self._discovery_draws(kind, monkeypatch)
+        keys = set()
+        for d in draws:
+            if d["source"] == "seed" and d["kept"]:
+                new = set(d["keys"]) - {None} - keys
+                assert d["values"] == len(new), d  # built once, on first keeping
+                keys |= new
+            else:
+                assert d["values"] == 0, d
+        # BD:30 took 1,870 calls when every reached class of every drawn
+        # seed took one
+        assert sum(d["values"] for d in draws) == len(keys) <= {"BD:30": 36, "BI": 7}[str(kind)]
+
+    @pytest.mark.parametrize("kind", [BinaryDihedral(30), BinaryIcosahedral], ids=str)
+    def test_discovery_multiplies_only_the_walk_rows_it_keeps(self, kind, monkeypatch):
+        draws, _ = self._discovery_draws(kind, monkeypatch)
+        r = build_group(kind).num_classes
+        for d in draws:
+            # fund * chi is taken value by value once a walk remainder is kept
+            kept_walk = d["source"] == "walk" and d["kept"]
+            assert d["products"] == (r if kept_walk else 0), d
+        assert any(d["source"] == "walk" and d["kept"] for d in draws)
+
+    # Each vector drawn and not skipped as a repeat reads its norm; only one
+    # of norm other than 1 is peeled, reading its degree and one
+    # multiplicity per irreducible found.  667 and 87 reads when every such
+    # vector was peeled.
+    RESIDUE_READS = {"BD:30": 175, "BI": 85}
+
+    @pytest.mark.parametrize("kind", [BinaryDihedral(30), BinaryIcosahedral], ids=str)
+    def test_discovery_reads_a_pinned_number_of_residues(self, kind, monkeypatch):
+        draws, setup = self._discovery_draws(kind, monkeypatch)
+        assert setup == 0
+        for d in draws:
+            if d["found"] is not None:
+                assert d["signed"] == d["found"] + 2, d
+            else:  # a repeat, or a vector of norm 1, kept off that one read
+                assert d["signed"] == d["kept"], d
+        assert sum(d["signed"] for d in draws) <= self.RESIDUE_READS[str(kind)]
+
+    def test_binary_dihedral_discovery_reads_about_one_vector_per_class(self, monkeypatch):
+        # The walk finds V, then the seeds of class 1 give the 2-dimensional
+        # irreducibles one by one; BD:30 skips 30 of its 66 draws as repeats
+        # and reads 36 vectors for its 33 classes.
+        draws, _ = self._discovery_draws(BinaryDihedral(30), monkeypatch)
+        read = sum(d["signed"] > 0 for d in draws)
+        assert (len(draws), read) == (66, 36)
 
     def test_discovery_builds_only_the_seeds_it_reads(self, monkeypatch):
         built = 0
@@ -387,9 +463,10 @@ class TestOperationCounts:
         # cyclic subgroup); discovery is done after reading 28 of them
         assert 0 < built < sum(G.class_order(c) for c in range(G.num_classes))
 
-    def test_peel_subtracts_without_field_arithmetic(self, monkeypatch):
+    def test_peel_and_subtraction_take_no_field_arithmetic(self, monkeypatch):
         calls = 0
         inside = False
+        subtracted = 0
         for name in ("__mul__", "__rmul__", "__sub__"):
             op = getattr(CycloElement, name)
 
@@ -409,18 +486,29 @@ class TestOperationCounts:
             finally:
                 inside = False
 
+        subtract = klein._subtract
+
+        def watched_subtract(*args):
+            nonlocal inside, subtracted
+            inside, subtracted = True, subtracted + 1
+            try:
+                return subtract(*args)
+            finally:
+                inside = False
+
         monkeypatch.setattr(klein, "_peel", watched)
+        monkeypatch.setattr(klein, "_subtract", watched_subtract)
         character_table(build_group.__wrapped__(BinaryIcosahedral))
-        assert calls == 0
+        assert calls == 0 and subtracted > 0
 
     @staticmethod
     def _peeled_vectors(kind, monkeypatch) -> list:
-        """The vectors one cold discovery of kind passes to _peel, in order."""
+        """The image vectors one cold discovery of kind passes to _peel, in order."""
         peeled = []
         peel = klein._peel
 
         def recorded(image, vec, found):
-            peeled.append(tuple((v.num, v.den) for v in vec))
+            peeled.append(tuple(vec))
             return peel(image, vec, found)
 
         monkeypatch.setattr(klein, "_peel", recorded)
@@ -432,11 +520,6 @@ class TestOperationCounts:
         # the 9 irreducibles in 12 peels; none runs after the last
         assert 0 < len(self._peeled_vectors(BinaryIcosahedral, monkeypatch)) <= 12
 
-    def test_binary_dihedral_discovery_peels_about_once_per_class(self, monkeypatch):
-        G = build_group(BinaryDihedral(30))
-        peels = len(self._peeled_vectors(BinaryDihedral(30), monkeypatch))
-        assert G.num_classes <= peels <= G.num_classes + 3
-
     @pytest.mark.parametrize(
         "kind",
         [BinaryDihedral(n) for n in range(2, 13)]
@@ -447,36 +530,6 @@ class TestOperationCounts:
         # Ind psi_t = Ind psi_-t: BD:30 skips 30 of its 66 draws as repeats
         peeled = self._peeled_vectors(kind, monkeypatch)
         assert len(set(peeled)) == len(peeled)
-
-    def test_discovery_multiplies_only_the_vectors_it_draws(self, monkeypatch):
-        G = build_group.__wrapped__(BinaryIcosahedral)
-        fundamental_character(G)
-        counts = {"products": 0, "draws": 0, "factors": 0}
-        mul = CycloElement.__mul__
-
-        def counted_mul(self, other):
-            counts["products"] += 1
-            return mul(self, other)
-
-        class CountedWalk(deque):
-            def __init__(self, factors=()):
-                super().__init__(factors)
-                counts["factors"] += len(self)
-
-            def append(self, chi):
-                counts["factors"] += 1
-                super().append(chi)
-
-            def popleft(self):
-                counts["draws"] += 1
-                return super().popleft()
-
-        monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
-        monkeypatch.setattr(klein, "deque", CountedWalk)
-        klein._discover_table(G)
-        # each walk factor is multiplied by fund once, when it is drawn
-        assert 0 < counts["draws"] <= counts["factors"]
-        assert counts["products"] == G.num_classes * counts["draws"]
 
     def test_induced_seeds_build_only_the_reached_classes(self, monkeypatch):
         calls = 0
@@ -953,31 +1006,37 @@ class TestImmutabilityOfBuild:
 class TestDiscoveryPremises:
     @staticmethod
     def _found(G, image, chi):
-        """One found entry for _peel: chi and the images of size_c conj(chi[c]) / |G|."""
+        """One found entry for _peel: chi, its images, and the images of
+        size_c conj(chi[c]) / |G|."""
         p = image.p
-        return chi, [cls.size * image(v.conjugate()) * pow(G.order, -1, p) % p
-                     for cls, v in zip(G.classes, chi)]
+        return chi, [image(v) for v in chi], [
+            cls.size * image(v.conjugate()) * pow(G.order, -1, p) % p
+            for cls, v in zip(G.classes, chi)
+        ]
 
     def test_peel_refuses_a_negative_multiplicity(self):
         G = build_group(BinaryTetrahedral)
         table = character_table(G)
         a, b = table[-1].values, table[1].values  # degrees 3 and 1
         image = FpImage(G.ctx)
-        virtual = tuple(x - y for x, y in zip(a, b))
+        virtual = [image(x - y) for x, y in zip(a, b)]
         with pytest.raises(ConsistencyError, match="^negative multiplicity -1 while peeling"):
             klein._peel(image, virtual, [self._found(G, image, b)])
 
     def test_peel_refuses_a_vector_that_is_not_a_character(self):
+        # The degree 3/2 and the multiplicity 1/2 are read as residues mod p.
         G = build_group(BinaryTetrahedral)
         chi = character_table(G)[-1].values
         image = FpImage(G.ctx)
-        half = tuple(x * Fraction(1, 2) for x in chi)
-        with pytest.raises(
-            ConsistencyError,
-            match=r"^multiplicity residue -\d+ mod p lies outside \[-d, d\] for the degree "
-            r"d = 3/2 of a vector being peeled: it is not a character$",
-        ):
+        half = [image(x * Fraction(1, 2)) for x in chi]
+        k, d = image.signed(pow(2, -1, image.p)), image.signed(3 * pow(2, -1, image.p))
+        with pytest.raises(ConsistencyError) as err:
             klein._peel(image, half, [self._found(G, image, chi)])
+        assert str(err.value) == (
+            f"multiplicity residue {k} mod p lies outside [-d, d] for the degree "
+            f"d = {d} of a vector being peeled: it is not a character"
+        )
+        assert k < 0 and d < 0
 
     @pytest.mark.parametrize(
         "kind",

@@ -186,21 +186,49 @@ class TestDecompose:
                 assert sum(t * degrees[i] for i, t in column) == 2 * degrees[j]
                 assert len(column) <= (2 if kind.family == "cyclic" else 4)
 
-    # A halved row reads the multiplicity 1/2 as its residue -(p - 1)/2
-    # (p = 2305843009213693921 for m = 12 and 60), and BT's row shifted by
-    # zeta reads another negative residue: both lie past 2 |chi_j(1)|, so the
-    # message names the inner product, not the residue.  BI's shifted row is
-    # refused at its degree.  A negated row reads its multiplicities negated.
+    # validate() refuses every corruption of row 2.  The McKay read, given
+    # the table past validate(), still refuses each: a halved row and a row
+    # shifted by zeta read an N_ij that is no multiple of |G| within
+    # |G| L^2 L_V, a negated row reads its multiplicities negated, and a row
+    # whose degree is scaled by 3^38 puts the bound past p / 2.
     CORRUPTED = {
-        ("BT", "half"): "<chi_4, chi_V * chi_2> is not an integer in [0, 2 d_2]",
-        ("BT", "negate"): "tensor multiplicity -1 is not a non-negative integer",
-        ("BT", "zeta"): "<chi_2, chi_V * chi_0> is not an integer in [0, 2 d_0]",
-        ("BI", "half"): "<chi_2, chi_V * chi_0> is not an integer in [0, 2 d_0]",
-        ("BI", "negate"): "tensor multiplicity -1 is not a non-negative integer",
-        ("BI", "zeta"): "character degree None is not a positive integer",
+        ("BT", "half"): (
+            "character degree Fraction(1, 2) is not a positive integer",
+            "<chi_4, chi_V * chi_2> is not an integer",
+        ),
+        ("BT", "negate"): (
+            "character degree Fraction(-1, 1) is not a positive integer",
+            "tensor multiplicity -1 is not a non-negative integer",
+        ),
+        ("BT", "zeta"): (
+            "character degree None is not a positive integer",
+            "<chi_2, chi_V * chi_0> is not an integer",
+        ),
+        ("BI", "half"): (
+            "table value -1/2*z^4 - 1/2*z^6 + 1/2*z^14 is not an algebraic integer",
+            "<chi_2, chi_V * chi_0> is not an integer",
+        ),
+        ("BI", "negate"): (
+            "character degree Fraction(-2, 1) is not a positive integer",
+            "tensor multiplicity -1 is not a non-negative integer",
+        ),
+        ("BI", "zeta"): (
+            "character degree None is not a positive integer",
+            "<chi_2, chi_V * chi_0> is not an integer",
+        ),
+        ("BT", "wide"): (
+            "table values of coefficient 1-norm 1350851717672992089 are too large to read mod p",
+            "tensor products bounded by 87590417430723510113234494937116028208 are too large "
+            "to read mod p",
+        ),
+        ("BI", "wide"): (
+            "table values of coefficient 1-norm 2701703435345984178 are too large to read mod p",
+            "tensor products bounded by 3503616697228940404529379797484641128320 are too large "
+            "to read mod p",
+        ),
     }
 
-    @pytest.mark.parametrize("change", ["half", "negate", "zeta"])
+    @pytest.mark.parametrize("change", ["half", "negate", "zeta", "wide"])
     @pytest.mark.parametrize("kind", [BinaryTetrahedral, BinaryIcosahedral], ids=str)
     def test_mckay_columns_refuse_a_corrupted_row(self, kind, change, monkeypatch):
         G = build_group(kind)
@@ -209,18 +237,21 @@ class TestDecompose:
             "half": lambda row: [v * Fraction(1, 2) for v in row],
             "negate": lambda row: [-v for v in row],
             "zeta": lambda row: [row[0] + G.ctx.zeta(1)] + row[1:],
+            "wide": lambda row: [row[0] * 3 ** 38] + row[1:],
         }[change](rows[2])
         bad = CharacterTable(G, [Character(G, row) for row in rows])
+        by_validate, by_read = self.CORRUPTED[str(kind), change]
+        with pytest.raises(ConsistencyError) as err:
+            bad.validate()
+        assert str(err.value) == by_validate
         monkeypatch.setattr(sympow, "character_table", lambda G: bad)
         with pytest.raises(ConsistencyError) as err:
             _tensor_matrix(G)
-        assert str(err.value) == self.CORRUPTED[str(kind), change]
+        assert str(err.value) == by_read
 
-    def test_mckay_matrix_multiplies_each_distinct_value_pair_once(self, monkeypatch):
+    def test_mckay_matrix_takes_no_field_product(self, monkeypatch):
         G = build_group(BinaryDihedral(22))
-        table = character_table(G)
-        fund = fundamental_character(G).values
-        pairs = {(f.num, f.den, v.num, v.den) for chi in table for f, v in zip(fund, chi.values)}
+        character_table(G)
         calls = 0
         mul = CycloElement.__mul__
 
@@ -230,9 +261,10 @@ class TestDecompose:
             return mul(self, other)
 
         monkeypatch.setattr(CycloElement, "__mul__", counted)
-        _tensor_matrix(G)
-        # 625 products when each fund * chi_j was taken value by value
-        assert 0 < calls <= len(pairs)
+        columns = _tensor_matrix(G)
+        # 625 products when each fund * chi_j was taken value by value, and
+        # at most one per distinct value pair after that
+        assert calls == 0 and len(columns) == G.num_classes == 25
 
     def test_mckay_matrix_reads_one_residue_per_entry(self, monkeypatch):
         # The cost law: r^2 signed residues, one per entry T[i][j].
@@ -296,6 +328,11 @@ class TestMcKayGraph:
         assert not any(T[i][i] for i in range(r))
         assert sum(map(sum, T)) == 2 * (r - 1)
         assert [_arms(T, b) for b in range(r) if sum(T[b]) > 2] == branches
+        # the field identity chi_V(c) chi_j(c) = sum_i T[i][j] chi_i(c) at every class
+        rows = [chi.values for chi in character_table(G)]
+        for j, row in enumerate(rows):
+            for c, (f, x) in enumerate(zip(fundamental_character(G).values, row)):
+                assert f * x == sum((T[i][j] * rows[i][c] for i in range(r)), G.ctx.zero)
 
 
 def _field_det_permutation(G):

@@ -31,9 +31,12 @@ classes and cyclic subgroups are then worked out on element indices.
 Character tables are computed, never transcribed.  A cyclic table is the n
 powers of the weight character lambda = zeta^e1 (e1 the first eigenvalue
 exponent of a class), and validate() proves it in O(|G| + r^2) integer steps
-(`_cyclic_weights`).  The non-abelian families run one tensor-peeling loop.
-It walks the McKay graph from the trivial character, peeling fund * chi for
-each irreducible chi the walk finds.  Plain tensor-peeling stalls on clumped
+(`_cyclic_weights`).  A BD:n table is built in closed form once the group
+data is proven to present BD:n, and validate() matches its rows to those,
+also in O(|G| + r^2) (`_dihedral_rows`).  BT, BO and BI run one
+tensor-peeling loop (`_discover_table`; the tests' BD oracle too).  It walks
+the McKay graph from the trivial character, peeling fund * chi for each
+irreducible chi the walk finds.  Plain tensor-peeling stalls on clumped
 remainders (e.g. the three linear characters of the quaternion group arrive
 as one norm-3 remainder), so while the walk is empty the loop draws
 characters induced from the cyclic subgroups generated by class
@@ -538,8 +541,9 @@ class CharacterTable:
         if len(self.irreducibles) != r:
             raise ConsistencyError(f"{len(self.irreducibles)} irreducibles for {r} classes")
         self.degrees  # the identity column holds positive integers
-        if G.kind.family == "cyclic":
-            _cyclic_weights(self)
+        proof = {"cyclic": _cyclic_weights, "BD": _dihedral_weights}.get(G.kind.family)
+        if proof:
+            proof(self)
             return
         ids = {}  # (num, den) -> (id, value) of each distinct value, in table order
         rows = [[ids.setdefault((v.num, v.den), (len(ids), v))[0] for v in chi.values]
@@ -634,6 +638,69 @@ def _cyclic_weights(table: CharacterTable) -> list[int]:
     if len(set(ts)) != n:
         raise ConsistencyError(f"the rows of {G.kind} are not {n} distinct powers of lambda")
     return [t * g1 % m for t in ts]
+
+
+def _dihedral_rows(G: KleinGroup) -> tuple[list[int], list[tuple[CycloElement, ...]]]:
+    """BD:n's irreducibles in closed form, each with its weight l: lambda^l in chi|A.
+
+    The group data must present BD:n, a and b its generators and A = <a>:
+    x -> x a meets a^k of exponents ±k m/2n for k < 2n, then 1; G = A u A b,
+    each a^k b of exponents ±m/4; b a b^-1 = a^-1 and b^2 = a^n.  At a^k b^t
+    the rows are then eps^k beta^t (eps = ±1, beta^2 = eps^n; weight 0 or n
+    as eps = 1 or -1) and, for 0 < j < n and lambda(a) = zeta^(m/2n),
+    Ind_A^G lambda^j: lambda^j + lambda^-j on A, 0 off it, irreducible by
+    Mackey's criterion (Serre, Linear Representations of Finite Groups,
+    ch. 7).  Their squared degrees sum to |G|, and chi_V = Ind lambda.
+    """
+    n, m, (a, b) = G.kind.n, G.m, G.right
+    u = m // (2 * n)
+    walk, ab = [0], []
+    for k in range(2 * n):
+        ab.append(b[walk[k]])
+        if (sorted(G.class_eigen[G.class_of[walk[k]]]) != sorted((k * u % m, -k * u % m))
+                or sorted(G.class_eigen[G.class_of[ab[k]]]) != [m // 4, 3 * m // 4]):
+            raise ConsistencyError(f"a^{k} or a^{k} b has wrong eigenvalue exponents in {G.kind}")
+        walk.append(a[walk[k]])
+    if walk.pop() != 0 or len(set(walk + ab)) != G.order:
+        raise ConsistencyError(f"a of order 2n and b do not cover {G.kind} as A u A b")
+    if a[ab[0]] != ab[-1] or b[ab[0]] != walk[n]:
+        raise ConsistencyError(f"b a b^-1 = a^-1 or b^2 = a^n fails in {G.kind}")
+    at = {G.class_of[x]: (k, t) for t, xs in enumerate((walk, ab)) for k, x in enumerate(xs)}
+    coords = [at[c] for c in range(G.num_classes)]
+    zeta = G.ctx.zeta
+    traces = [zeta(t * u) + zeta(-t * u) for t in range(n + 1)]  # each value built once
+    traces += traces[n - 1:0:-1] + [G.ctx.zero]  # zeta^(tu) + zeta^-(tu) at t < 2n, 0 at 2n
+    # eps = zeta^e, beta = zeta^f with 2f = n e (mod m), for e = 0 and e = m/2
+    linear = [(l * u, f) for l in (0, n) for f in (n * l * u // 2, n * l * u // 2 + m // 2)]
+    rows = [tuple([zeta(k * e + t * f) for k, t in coords]) for e, f in linear]
+    rows += [tuple([traces[2 * n if t else j * k % (2 * n)] for k, t in coords])
+             for j in range(1, n)]
+    return [0, 0, n, n, *range(1, n)], rows
+
+
+def _dihedral_weights(table: CharacterTable) -> list[int]:
+    """Prove a BD:n table: its rows must be those of `_dihedral_rows`, each once,
+    compared by (num, den) keys, each value object keyed once (rows share
+    them), so that a row reads as a tuple of key ids.  Returns the weights."""
+    G = table.group
+    weights, rows = _dihedral_rows(G)
+    keys, ids = {}, {}  # (num, den) -> key id; id(value) -> key id
+
+    def row_ids(values):
+        out = list(map(ids.get, map(id, values)))
+        if None in out:
+            for c, v in enumerate(values):
+                out[c] = ids[id(v)] = keys.setdefault((v.num, v.den), len(keys))
+        return tuple(out)
+
+    row_of = {row_ids(row): j for j, row in enumerate(rows)}
+    picked = [row_of.get(row_ids(chi.values)) for chi in table]
+    if None in picked:
+        i = picked.index(None)
+        raise ConsistencyError(f"chi_{i} is no eps^k beta^t or Ind lambda^j of {G.kind}")
+    if sorted(picked) != list(range(len(rows))):
+        raise ConsistencyError(f"the rows of {G.kind} are not its {len(rows)} irreducibles")
+    return [weights[j] for j in picked]
 
 
 def _subgroup_hits(G: KleinGroup, c: int) -> list[list[int]]:
@@ -819,11 +886,8 @@ def character_table(G: KleinGroup) -> CharacterTable:
     """Discover, order, and validate the full character table."""
     if G._table is not None:
         return G._table
-    if G.kind.family == "cyclic":
-        vectors = _cyclic_table(G)
-    else:
-        vectors = _discover_table(G)
-    chars = [Character(G, vec) for vec in vectors]
+    build = {"cyclic": _cyclic_table, "BD": lambda G: _dihedral_rows(G)[1]}
+    chars = [Character(G, vec) for vec in build.get(G.kind.family, _discover_table)(G)]
     trivial = _trivial_values(G)
     head = [chi for chi in chars if chi.values == trivial]
     if len(head) != 1:

@@ -18,14 +18,13 @@ Decompositions push the same recurrence through the decomposition map: with
 T[i][j] the multiplicity of chi_i in chi_V * chi_j (computed once and stored
 as sparse columns), the multiplicity vectors satisfy
 a_(q+1) = T a_q - P a_(q-1) where P permutes indices by tensoring with the
-determinant character.  The non-cyclic families lie in SL(2): there T's
-entries are inner products read exactly in F_p against the proven table,
-with no field product, and P is the identity because `build_group` proved
-det = 1 on every element, so it is not checked again here.  For cyclic
-groups every irreducible is linear and chi_V is the sum of the two
-eigenvalue characters, so T and P are read off the row weights that prove
-the table, in O(r) lookups (`_cyclic_twists`; `_tensor_matrix` is its oracle
-in the tests).  By Molien's formula sum_q a_q t^q has poles only at m-th
+determinant character.  The non-cyclic families lie in SL(2), so P is the
+identity: `build_group` proved det = 1 on every element.  For BT, BO and BI,
+T's entries are inner products read exactly in F_p against the proven
+table, with no field product.  For cyclic groups and BD:n, T (and the
+cyclic P) is read off the row weights that prove the table, in O(r) lookups
+(`_cyclic_twists`, `_dihedral_twists`; `_tensor_matrix` is their oracle in
+the tests).  By Molien's formula sum_q a_q t^q has poles only at m-th
 roots of unity (m the conductor), each of order at most 2, so the step
 a_(q+m) - a_q depends only on q mod m.  The recurrence therefore runs once
 per group, for q < 3m, and row q = s + k*m is a_s + k * (a_(s+m) - a_s) for
@@ -48,6 +47,7 @@ from .klein import (
     inner_product,
     _conj_weights,
     _cyclic_weights,
+    _dihedral_weights,
 )
 
 
@@ -223,14 +223,14 @@ def _tensor_matrix(G: KleinGroup) -> list[list[tuple[int, int]]]:
 
     T[i][j] = N_ij / |G|, N_ij = sum_c size_c conj(chi_i(c)) chi_V(c) chi_j(c).
     validate() proved the rows orthonormal, with algebraic-integer values and
-    chi(g^k) = sigma_k(chi(g)) (a cyclic table as powers of lambda), and chi_V,
+    chi(g^k) = sigma_k(chi(g)) (a cyclic or BD table in closed form), and chi_V,
     the trace of G's own matrices, has both too.  The power maps keep class
     sizes, so N_ij is a Galois-fixed algebraic integer: an integer, at most
     |G| L^2 L_V in absolute value for L and L_V the largest coefficient 1-norms
     of the table values and of chi_V.  Once 2 |G| L^2 L_V < p it is read
     exactly off a signed residue, and chi_V chi_j = sum_i T[i][j] chi_i is the
     expansion in the proven basis (Isaacs, Character Theory of Finite Groups,
-    ch. 2).  No field product is taken.
+    ch. 2).  No field product is taken.  Cyclic and BD:n read T off their weights.
     """
     table = character_table(G)
     image = fp_image(G.ctx)
@@ -275,6 +275,19 @@ def _cyclic_twists(G: KleinGroup) -> tuple[list[list[tuple[int, int]]], list[int
     return columns, [row_of[(s + e1 + e2) % G.m] for s in weights]
 
 
+def _dihedral_twists(G: KleinGroup) -> list[list[tuple[int, int]]]:
+    """T's sparse columns for BD:n: chi_i is in chi_V * chi_j, once, iff their
+    weights (`_dihedral_rows`) differ by 1, as chi_V = Ind lambda and Ind lambda *
+    Ind lambda^l = Ind lambda^(l-1) + Ind lambda^(l+1), with Ind lambda^-l =
+    Ind lambda^l and Ind lambda^0, Ind lambda^n the sums of the linear rows of
+    weight 0 and of weight n.  This is McKay's affine D_(n+2) diagram."""
+    weights = _dihedral_weights(character_table(G))
+    rows = {}
+    for i, l in enumerate(weights):
+        rows.setdefault(l, []).append(i)
+    return [sorted((i, 1) for w in (l - 1, l + 1) for i in rows.get(w, ())) for l in weights]
+
+
 @lru_cache(maxsize=None)
 def _period_rows(G: KleinGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Rows alpha_s and steps alpha_(s+m) - alpha_s for s < m (see the module doc).
@@ -287,7 +300,8 @@ def _period_rows(G: KleinGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     if G.kind.family == "cyclic":
         columns, perm = _cyclic_twists(G)
     else:  # in SL(2), by build_group's determinant check: P is the identity
-        columns, perm = _tensor_matrix(G), range(r)
+        twists = _dihedral_twists if G.kind.family == "BD" else _tensor_matrix
+        columns, perm = twists(G), range(r)
     rows = [(0,) * r, tuple(1 if i == 0 else 0 for i in range(r))]
     while len(rows) <= 3 * m:
         prev, cur = rows[-2], rows[-1]

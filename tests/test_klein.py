@@ -458,7 +458,7 @@ class TestOperationCounts:
 
         monkeypatch.setattr(klein, "_induced_from_cyclic", counted)
         G = build_group.__wrapped__(BinaryDihedral(12))
-        character_table(G)
+        klein._discover_table(G)
         # 160 seeds in all (one per linear character of each class's
         # cyclic subgroup); discovery is done after reading 28 of them
         assert 0 < built < sum(G.class_order(c) for c in range(G.num_classes))
@@ -580,7 +580,7 @@ class TestOperationCounts:
         assert calls == {"signed": 0, "__mul__": 0}
 
     def test_validate_images_each_value_once_and_takes_no_field_product(self, monkeypatch):
-        table = character_table(build_group.__wrapped__(BinaryDihedral(30)))
+        table = character_table(build_group.__wrapped__(BinaryIcosahedral))
         imaged, products = [], 0
         call, mul = FpImage.__call__, CycloElement.__mul__
 
@@ -596,8 +596,8 @@ class TestOperationCounts:
         monkeypatch.setattr(FpImage, "__call__", counted_call)
         monkeypatch.setattr(CycloElement, "__mul__", counted_mul)
         table.validate()
-        # the 31 distinct values, each mapped to F_p once for the whole Gram matrix
-        assert len(set(imaged)) == len(imaged) == 31
+        # the 15 distinct values, each mapped to F_p once for the whole Gram matrix
+        assert len(set(imaged)) == len(imaged) == 15
         assert products == 0
 
     def test_cyclic_validate_reads_nothing_in_f_p_and_takes_no_field_product(self, monkeypatch):
@@ -613,6 +613,25 @@ class TestOperationCounts:
 
             monkeypatch.setattr(cls, name, counted)
         table.validate()
+        assert calls == {"__call__": 0, "signed": 0, "__mul__": 0}
+
+    def test_dihedral_table_and_period_rows_read_nothing_in_f_p_and_take_no_field_product(
+        self, monkeypatch
+    ):
+        # A BD:n table is built and proven in closed form, and T is read off
+        # its weights: no discovery, Gram entry or McKay read mod p.
+        G = build_group.__wrapped__(BinaryDihedral(30))
+        calls = {"__call__": 0, "signed": 0, "__mul__": 0}
+        for cls, name in ((FpImage, "__call__"), (FpImage, "signed"), (CycloElement, "__mul__")):
+            op = getattr(cls, name)
+
+            def counted(self, *args, op=op, name=name):
+                calls[name] += 1
+                return op(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        character_table(G).validate()
+        sympow._period_rows.__wrapped__(G)
         assert calls == {"__call__": 0, "signed": 0, "__mul__": 0}
 
     def test_a_dry_queue_stalls_discovery(self, monkeypatch):
@@ -826,7 +845,7 @@ class TestInnerProductChecks:
             assert str(err.value) == message
 
     @pytest.mark.parametrize(
-        "kind", [Cyclic(7, 3), Cyclic(12, 5), BinaryDihedral(5), BinaryOctahedral], ids=str
+        "kind", [Cyclic(7, 3), Cyclic(12, 5), BinaryTetrahedral, BinaryOctahedral], ids=str
     )
     def test_validate_takes_every_gram_entry(self, kind, monkeypatch):
         G = build_group(kind)
@@ -857,7 +876,10 @@ def _plain_inner(G, phi, psi) -> Fraction:
 
 CERTIFIED_KINDS = (
     Cyclic(7, 3), Cyclic(8, 3), Cyclic(9, 2), Cyclic(12, 5), Cyclic(12, 11), Cyclic(60, 7),
-    BinaryDihedral(2), BinaryDihedral(5), BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral,
+    # every BD:n, n <= 24, on which a swap that changes the table passed the
+    # Galois certificate and the Gram matrix: 32 such swaps in all
+    *(BinaryDihedral(n) for n in (2, 3, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 21, 24)),
+    BinaryTetrahedral, BinaryOctahedral, BinaryIcosahedral,
 )
 
 
@@ -870,10 +892,10 @@ def _swap_columns(rows, c, d):
 
 class TestTableCertificate:
     """validate() ties each column to its class: a swap of two classes of
-    equal size keeps both orthogonality relations, and only the degree read
-    and the Galois certificate refuse it, or, for a cyclic group, the proof
-    that each row is a power of the weight character, which refuses every
-    swap."""
+    equal size keeps both orthogonality relations.  On BT, BO and BI only the
+    degree read and the Galois certificate refuse it; a cyclic or BD table is
+    proven in closed form, which refuses every swap that does more than
+    reorder the rows."""
 
     @staticmethod
     def _exempt(G, cols):
@@ -892,12 +914,15 @@ class TestTableCertificate:
         for c, d in itertools.combinations(range(G.num_classes), 2):
             if sizes[c] != sizes[d]:
                 continue
-            bad = CharacterTable(G, [Character(G, row) for row in _swap_columns(rows, c, d)])
+            swapped = _swap_columns(rows, c, d)
+            bad = CharacterTable(G, [Character(G, row) for row in swapped])
             if c == 0:
                 with pytest.raises(ConsistencyError, match="^character degree .* is not a "
                                    "positive integer$"):
                     bad.validate()
-            elif kind.family == "cyclic" or not self._exempt(G, (cols[c], cols[d])):
+            elif set(map(tuple, swapped)) == set(rows):
+                bad.validate()  # the same rows in another order: the same table
+            elif kind.family in ("cyclic", "BD") or not self._exempt(G, (cols[c], cols[d])):
                 with pytest.raises(ConsistencyError):
                     bad.validate()
 
@@ -977,6 +1002,102 @@ class TestCyclicWeights:
         assert sorted(weights) == list(range(G.order))
         at_g = G.class_of[G.right[0][0]]
         assert [chi.values[at_g] for chi in table] == [G.ctx.zeta(s) for s in weights]
+
+
+class TestDihedralWeights:
+    """The closed-form proof of a BD:n table: the group data must present
+    BD:n, and the rows must be its n + 3 closed-form characters, each once."""
+
+    @staticmethod
+    def _table(H, rows):
+        return CharacterTable(H, [Character(H, row) for row in rows])
+
+    GROUP_DATA = [
+        ("exponent of a^3", 5, "a^3 or a^3 b has wrong eigenvalue exponents in BD:5"),
+        ("exponent of b", 5, "a^0 or a^0 b has wrong eigenvalue exponents in BD:5"),
+        ("a of order past 2n", 5, "a of order 2n and b do not cover BD:5 as A u A b"),
+        ("b in A", 2, "a of order 2n and b do not cover BD:2 as A u A b"),
+        ("right[1] swapped at 1 and a^2", 5, "b a b^-1 = a^-1 or b^2 = a^n fails in BD:5"),
+        ("b a = a b", 5, "b a b^-1 = a^-1 or b^2 = a^n fails in BD:5"),
+        ("b^2 = 1", 5, "b a b^-1 = a^-1 or b^2 = a^n fails in BD:5"),
+    ]
+
+    @pytest.mark.parametrize("change,n,message", GROUP_DATA, ids=[c for c, _, _ in GROUP_DATA])
+    def test_corrupted_group_data_is_refused(self, change, n, message):
+        # Each change keeps the table; the group half of the proof refuses it.
+        G = build_group(BinaryDihedral(n))
+        a, b, eigen = list(G.right[0]), list(G.right[1]), list(G.class_eigen)
+        walk = [0]  # walk[k] = a^k and ab[k] = a^k b, as element indices
+        for _ in range(2 * n - 1):
+            walk.append(a[walk[-1]])
+        ab = [b[x] for x in walk]
+        if change.startswith("exponent"):
+            c = G.class_of[walk[3] if change == "exponent of a^3" else ab[0]]
+            eigen[c] = (eigen[c][0] + 1, eigen[c][1])
+        elif change == "a of order past 2n":
+            a[walk[-1]] = a[ab[0]]  # a^(2n-1) a reads b a, not 1
+        elif change == "b in A":
+            b[0] = walk[1]  # 1 b reads a, so A u A b misses b
+        elif change == "right[1] swapped at 1 and a^2":
+            # no right multiplication: 1 b reads a^2 b, and a^2 b a = a b,
+            # but a^-1 b reads a^-1 b; and (a^2 b) b = a^(n+2)
+            b[0], b[walk[2]] = ab[2], ab[0]
+        elif change == "b a = a b":  # b^2 = a^n still holds
+            for k, y in enumerate(ab):
+                a[y] = ab[(k + 1) % (2 * n)]
+        else:  # the data of the dihedral group of order 4n: (a^k b) b = a^k
+            for x, y in zip(walk, ab):
+                b[y] = x
+        H = copy.copy(G)
+        H.right, H.class_eigen = (tuple(a), tuple(b)), tuple(eigen)
+        with pytest.raises(ConsistencyError) as err:
+            klein._dihedral_weights(self._table(H, [chi.values for chi in character_table(G)]))
+        assert str(err.value) == message
+
+    def test_a_repeated_induced_row_is_refused(self):
+        G = build_group(BinaryDihedral(5))
+        rows = [chi.values for chi in character_table(G)]
+        rows[5] = rows[4]
+        with pytest.raises(ConsistencyError) as err:
+            self._table(G, rows).validate()
+        assert str(err.value) == "the rows of BD:5 are not its 8 irreducibles"
+
+    def test_a_linear_row_with_beta_squared_not_eps_to_the_n_is_refused(self):
+        # Row 3 is eps = 1, beta = -1; beta = i there keeps it a function
+        # eps^k beta^t, but beta^2 = -1 is not eps^5 = 1.
+        G = build_group(BinaryDihedral(5))
+        rows = [list(chi.values) for chi in character_table(G)]
+        at_a, at_b = G.class_of[G.right[0][0]], G.class_of[G.right[1][0]]
+        assert (rows[3][at_a], rows[3][at_b]) == (G.ctx.one, -G.ctx.one)
+        in_a = {G.class_of[x] for x in range(G.order) if G.elements[x].is_diagonal}
+        rows[3] = [v if c in in_a else G.ctx.zeta(G.m // 4) for c, v in enumerate(rows[3])]
+        with pytest.raises(ConsistencyError) as err:
+            self._table(G, rows).validate()
+        assert str(err.value) == "chi_3 is no eps^k beta^t or Ind lambda^j of BD:5"
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 30])
+    def test_weights_are_read_off_the_values_at_a(self, n):
+        # A linear row is 1 or -1 at a as its weight is 0 or n; the row of
+        # weight l in 1..n-1 is zeta^(lu) + zeta^-(lu) at a, u = m/2n.
+        G = build_group(BinaryDihedral(n))
+        table = character_table(G)
+        u, at_a = G.m // (2 * n), G.class_of[G.right[0][0]]
+        for chi, l in zip(table, klein._dihedral_weights(table)):
+            if chi.degree == 1:
+                assert chi.values[at_a] == (G.ctx.one if l == 0 else -G.ctx.one)
+            else:
+                assert chi.values[at_a] == G.ctx.zeta(l * u) + G.ctx.zeta(-l * u)
+        assert sorted(klein._dihedral_weights(table)) == [0, 0, *range(1, n), n, n]
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_the_closed_form_is_the_discovered_table(self, n):
+        # Discovery works on every family: on BD:n, in table order, it finds
+        # the rows the closed form builds.
+        G = build_group(BinaryDihedral(n))
+        trivial = (G.ctx.one,) * G.num_classes
+        found = sorted(klein._discover_table(G),
+                       key=lambda row: (row != trivial, row[0].num, [v.num for v in row]))
+        assert found == [chi.values for chi in character_table(G)]
 
 
 class TestWeightIndices:

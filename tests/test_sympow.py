@@ -22,6 +22,7 @@ from symsig.klein import (
 )
 from symsig.sympow import (
     _cyclic_twists,
+    _dihedral_twists,
     _tensor_matrix,
     decompose,
     decompose_inner,
@@ -367,6 +368,23 @@ class TestCyclicTwists:
             # _cyclic_twists reads the weights off the proof of the table
             with pytest.raises(ConsistencyError, match=rf"^chi_{i} is not a power of lambda"):
                 _cyclic_twists(G)
+
+
+class TestDihedralTwists:
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_matches_the_inner_products(self, n):
+        G = build_group(BinaryDihedral(n))
+        assert _dihedral_twists(G) == _tensor_matrix(G)
+
+    def test_a_corrupted_row_is_refused(self, monkeypatch):
+        # _dihedral_twists reads the weights off the proof of the table
+        G = build_group(BinaryDihedral(12))
+        rows = [list(chi.values) for chi in character_table(G)]
+        rows[7][3] = rows[7][3] + G.ctx.one
+        bad = CharacterTable(G, [Character(G, row) for row in rows])
+        monkeypatch.setattr(sympow, "character_table", lambda G: bad)
+        with pytest.raises(ConsistencyError, match="^chi_7 is no eps"):
+            _dihedral_twists(G)
 
 
 class TestLimitCertificate:
